@@ -77,7 +77,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		dishonest, err := oasis.NewCAHServer(atk, rng)
+		dishonest, err := oasis.NewAttackServer(atk, rng)
 		if err != nil {
 			return err
 		}

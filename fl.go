@@ -29,15 +29,16 @@ type (
 	FLHistory = fl.History
 	// FLUpdate is a client's uploaded gradient payload.
 	FLUpdate = fl.Update
-	// FLRoster abstracts how the server reaches its clients.
+	// FLRoster is the population the server samples and leases each
+	// round's cohort from (MemoryRoster, TCPServer, or your own).
 	FLRoster = fl.Roster
 	// FLAggregator folds one round's client updates into the applied
 	// gradient (streaming Add/Finalize; see fl.Aggregator for the
 	// contract). Assign to FLServer.Aggregator; nil means FedAvg mean.
 	FLAggregator = fl.Aggregator
-	// FLClientSampler picks each round's participants (uniform or
+	// FLClientSampler draws each round's participant indices (uniform or
 	// size-weighted; assign to FLServer.Sampler, nil means uniform).
-	FLClientSampler = fl.ClientSampler
+	FLClientSampler = fl.IndexSampler
 	// Partitioner splits a dataset's index space into disjoint client
 	// shards (IID, Dirichlet label skew, quantity skew).
 	Partitioner = data.Partitioner
@@ -204,16 +205,6 @@ func RegisterAttack(kind string, ctor func(AttackConfig) (Attack, error)) error 
 // hooks (assign to FLServer.Modifier and FLServer.Observer).
 func NewAttackServer(a Attack, rng *rand.Rand) (*DishonestServer, error) {
 	return attack.NewAttackServer(a, rng)
-}
-
-// NewRTFServer wraps a calibrated RTF attack as dishonest-server hooks.
-func NewRTFServer(a *RTFAttack, rng *rand.Rand) (*DishonestServer, error) {
-	return attack.NewRTFServer(a, rng)
-}
-
-// NewCAHServer wraps a calibrated CAH attack as dishonest-server hooks.
-func NewCAHServer(a *CAHAttack, rng *rand.Rand) (*DishonestServer, error) {
-	return attack.NewCAHServer(a, rng)
 }
 
 // NewClassifier builds the ResNet-lite classifier used as the honest global

@@ -208,7 +208,7 @@ func TestDishonestServerHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook, err := NewRTFServer(rtf, rng)
+	hook, err := NewAttackServer(rtf, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestObserveIgnoresForeignPayloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hook, err := NewRTFServer(rtf, rng)
+	hook, err := NewAttackServer(rtf, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

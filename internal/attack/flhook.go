@@ -73,16 +73,6 @@ func NewAttackServer(a Attack, rng *rand.Rand) (*DishonestServer, error) {
 	return NewDishonestServer(a.Name(), victim, a)
 }
 
-// NewRTFServer builds the dishonest-server hooks for a calibrated RTF attack.
-func NewRTFServer(a *RTF, rng *rand.Rand) (*DishonestServer, error) {
-	return NewAttackServer(a, rng)
-}
-
-// NewCAHServer builds the dishonest-server hooks for a calibrated CAH attack.
-func NewCAHServer(a *CAH, rng *rand.Rand) (*DishonestServer, error) {
-	return NewAttackServer(a, rng)
-}
-
 // Modify discards the honest global model and dispatches the malicious one —
 // the paper's §III-A capability ("changing and/or adding model parameters").
 func (d *DishonestServer) Modify(_ int, _ fl.ModelSpec) (fl.ModelSpec, error) {

@@ -194,8 +194,9 @@ func TestWorkersDefault(t *testing.T) {
 	}
 }
 
-// TestMemoryRosterConcurrentAccess hammers Add and Clients from many
-// goroutines (the TCP accept loop registers mid-round in real deployments).
+// TestMemoryRosterConcurrentAccess hammers Add, NumClients and Lease from
+// many goroutines (the TCP accept loop registers mid-round in real
+// deployments).
 func TestMemoryRosterConcurrentAccess(t *testing.T) {
 	roster := NewMemoryRoster()
 	var wg sync.WaitGroup
@@ -204,11 +205,29 @@ func TestMemoryRosterConcurrentAccess(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			roster.Add(&failingClient{id: fmt.Sprintf("g%d", i)})
-			_ = roster.Clients()
+			if _, err := roster.Lease(0, []int{roster.NumClients() - 1}); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	wg.Wait()
-	if n := len(roster.Clients()); n != 16 {
-		t.Errorf("roster has %d clients, want 16", n)
+	n := roster.NumClients()
+	if n != 16 {
+		t.Fatalf("roster has %d clients, want 16", n)
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	leased, err := roster.Lease(0, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, c := range leased {
+		seen[c.ID()] = true
+	}
+	if len(seen) != n {
+		t.Errorf("leased %d distinct clients, want %d", len(seen), n)
 	}
 }

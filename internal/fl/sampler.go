@@ -5,57 +5,36 @@ import (
 	rand "math/rand/v2"
 )
 
-// ClientSampler picks which of the connected clients participate in a round.
-// Assign to Server.Sampler; nil reproduces the historical behavior (uniform
-// without replacement), so existing runs stay bit-identical.
+// IndexSampler picks which clients participate in a round by drawing
+// client *indices* from [0, n), so the roster being sampled from never has
+// to be materialized. size reports client i's local sample count (nil, or a
+// 0 return, weighs the client as 1). Assign to Server.Sampler; nil
+// reproduces the historical behavior (uniform without replacement), so
+// existing runs stay bit-identical.
 //
-// Sample is called once per round on the server goroutine with the server's
-// own deterministic rng; implementations must draw all randomness from that
-// rng (and nothing else) to keep runs reproducible across worker counts.
-type ClientSampler interface {
+// SampleIndices is called once per round on the server goroutine with the
+// server's own deterministic rng; implementations must draw all randomness
+// from that rng (and nothing else) to keep runs reproducible across worker
+// counts.
+type IndexSampler interface {
 	// Name labels the sampling strategy for logs and reports.
 	Name() string
-	// Sample returns m clients drawn from clients (0 ≥ m or m > len means
-	// all, in an implementation-chosen order).
-	Sample(round int, clients []Client, m int, rng *rand.Rand) []Client
-}
-
-// IndexSampler is the virtual-population refinement of ClientSampler: it
-// draws client *indices* from [0, n) so the caller never has to materialize
-// the roster being sampled from. size reports client i's local sample count
-// (nil, or a 0 return, weighs the client as 1). Both built-in samplers
-// implement it, and their Sample methods delegate to it, so the index and
-// client forms consume identical rng streams — the property that keeps a
-// virtual-roster run byte-identical to an eager one.
-type IndexSampler interface {
-	ClientSampler
 	// SampleIndices returns m distinct indices drawn from [0, n)
 	// (m ≤ 0 or m > n means all, in an implementation-chosen order).
 	SampleIndices(round, n, m int, size func(i int) int, rng *rand.Rand) []int
 }
 
 // SizedClient is optionally implemented by clients that can report how many
-// local samples they hold; SizeWeightedSampler uses it for proportional
-// selection (clients that don't implement it weigh as 1 sample).
+// local samples they hold; MemoryRoster.NumSamples reports it to
+// SizeWeightedSampler (clients that don't implement it weigh as 1 sample).
 type SizedClient interface {
 	NumSamples() int
-}
-
-// clientSize adapts a materialized roster to the size callback of
-// SampleIndices.
-func clientSize(clients []Client) func(int) int {
-	return func(i int) int {
-		if sc, ok := clients[i].(SizedClient); ok {
-			return sc.NumSamples()
-		}
-		return 0
-	}
 }
 
 // NewSamplerByName resolves a sampling strategy: "uniform" (each client
 // equally likely) or "size" (probability proportional to local dataset
 // size, the FedAvg-paper weighting).
-func NewSamplerByName(name string) (ClientSampler, error) {
+func NewSamplerByName(name string) (IndexSampler, error) {
 	switch name {
 	case "", "uniform":
 		return UniformSampler{}, nil
@@ -73,20 +52,8 @@ func SamplerNames() []string { return []string{"uniform", "size"} }
 // policy the server applies when no Sampler is set.
 type UniformSampler struct{}
 
-var _ ClientSampler = UniformSampler{}
-
 // Name returns "uniform".
 func (UniformSampler) Name() string { return "uniform" }
-
-// Sample permutes the roster and takes the first m entries.
-func (u UniformSampler) Sample(round int, clients []Client, m int, rng *rand.Rand) []Client {
-	indices := u.SampleIndices(round, len(clients), m, nil, rng)
-	selected := make([]Client, 0, len(indices))
-	for _, idx := range indices {
-		selected = append(selected, clients[idx])
-	}
-	return selected
-}
 
 // SampleIndices permutes [0, n) and takes the first m entries.
 func (UniformSampler) SampleIndices(_, n, m int, _ func(int) int, rng *rand.Rand) []int {
@@ -98,25 +65,13 @@ func (UniformSampler) SampleIndices(_, n, m int, _ func(int) int, rng *rand.Rand
 }
 
 // SizeWeightedSampler draws m clients without replacement with probability
-// proportional to their local dataset size (SizedClient), so data-rich
+// proportional to their local dataset size (Roster.NumSamples), so data-rich
 // clients participate more often — the cross-device regime's standard
 // counterweight to quantity skew.
 type SizeWeightedSampler struct{}
 
-var _ ClientSampler = SizeWeightedSampler{}
-
 // Name returns "size".
 func (SizeWeightedSampler) Name() string { return "size" }
-
-// Sample performs successive weighted draws without replacement.
-func (s SizeWeightedSampler) Sample(round int, clients []Client, m int, rng *rand.Rand) []Client {
-	indices := s.SampleIndices(round, len(clients), m, clientSize(clients), rng)
-	selected := make([]Client, 0, len(indices))
-	for _, idx := range indices {
-		selected = append(selected, clients[idx])
-	}
-	return selected
-}
 
 // SampleIndices performs successive weighted draws without replacement over
 // [0, n), weighing index i by size(i) when positive and 1 otherwise.

@@ -18,7 +18,7 @@ import (
 // Sampler to UniformSampler must reproduce the nil-Sampler history bit for
 // bit (same rng consumption, same selection order).
 func TestUniformSamplerMatchesDefault(t *testing.T) {
-	run := func(sampler ClientSampler) History {
+	run := func(sampler IndexSampler) History {
 		roster := buildRoster(t, 8)
 		server := NewServer(ServerConfig{
 			Rounds: 4, ClientsPerRound: 5, LearningRate: 0.05, Seed: 31,
@@ -48,19 +48,18 @@ func TestSizeWeightedSamplerFavorsLargeShards(t *testing.T) {
 		roster.Add(c)
 	}
 	rng := nn.RandSource(3, 4)
-	clients := roster.Clients()
 	hits := 0
 	const rounds = 50
 	for round := 0; round < rounds; round++ {
-		sel := (SizeWeightedSampler{}).Sample(round, clients, 2, rng)
+		sel := (SizeWeightedSampler{}).SampleIndices(round, roster.NumClients(), 2, roster.NumSamples, rng)
 		if len(sel) != 2 {
 			t.Fatalf("selected %d clients, want 2", len(sel))
 		}
-		if sel[0].ID() == sel[1].ID() {
+		if sel[0] == sel[1] {
 			t.Fatal("sampled the same client twice in one round")
 		}
-		for _, c := range sel {
-			if c.ID() == "c0" {
+		for _, i := range sel {
+			if i == 0 {
 				hits++
 			}
 		}

@@ -40,13 +40,6 @@ type UpdateObserver interface {
 	Observe(round int, u Update)
 }
 
-// Roster abstracts how the server reaches its clients (in-memory or TCP).
-type Roster interface {
-	// Clients returns the currently connected clients. Implementations must
-	// be safe to call while a previous round's workers are still draining.
-	Clients() []Client
-}
-
 // ServerConfig parametrizes the FL run.
 type ServerConfig struct {
 	Rounds          int
@@ -61,10 +54,12 @@ type ServerConfig struct {
 	// Workers bounds how many clients train concurrently inside one round.
 	// 0 means runtime.NumCPU(); 1 reproduces the sequential engine. The
 	// resulting History is bit-identical for every Workers value under the
-	// same seed: only wall-clock time changes. Rosters whose clients share
-	// mutable state (a common *rand.Rand, a stateful GradientDefense, a
-	// randomized augmentation policy) must set Workers to 1 or synchronize
-	// that state — see the Client concurrency contract.
+	// same seed: only wall-clock time changes. Only HandleRound runs on the
+	// workers; sampling, Lease and Release stay on the server goroutine. A
+	// cohort whose clients share mutable state (a common *rand.Rand, a
+	// stateful GradientDefense, a randomized augmentation policy) must set
+	// Workers to 1 or synchronize that state — see the Client concurrency
+	// contract.
 	Workers int
 	// RoundDeadline bounds one round's wall-clock time (0 = none): the
 	// dispatch context expires after it, so cooperative clients still in
@@ -121,19 +116,16 @@ func (h History) FinalLoss() float64 {
 type Server struct {
 	Config   ServerConfig
 	Model    *nn.Sequential
-	Roster   Roster
 	Modifier ModelModifier
 	Observer UpdateObserver
-	// Virtual, when set, replaces Roster as the population source: clients
-	// are sampled by index over [0, NumClients()) and only the round's
-	// cohort is instantiated (leased before dispatch, released after the
-	// step is applied). Requires the Sampler to implement IndexSampler; the
-	// built-in samplers do, with rng streams identical to their Sample
-	// methods, so a virtual run reproduces a materialized one bit for bit.
-	Virtual VirtualRoster
-	// Sampler picks each round's participants; nil keeps the historical
+	// Virtual is the population each round samples from: clients are drawn
+	// by index over [0, NumClients()) and only the round's cohort is leased
+	// (before dispatch) and released (after the step is applied). NewServer
+	// sets it from its roster argument.
+	Virtual Roster
+	// Sampler draws each round's cohort indices; nil keeps the historical
 	// uniform-without-replacement draw bit for bit.
-	Sampler ClientSampler
+	Sampler IndexSampler
 	// AfterRound, when set, is invoked on the server goroutine after each
 	// round's step has been applied — a hook for per-round evaluation,
 	// logging, or checkpointing. It sees the final RoundStats and may read
@@ -150,7 +142,8 @@ type Server struct {
 	rng *rand.Rand
 }
 
-// NewServer constructs a server around a global model and a client roster.
+// NewServer constructs a server around a global model and a client roster
+// (assigned to Virtual).
 func NewServer(cfg ServerConfig, model *nn.Sequential, roster Roster) *Server {
 	if cfg.LearningRate == 0 {
 		cfg.LearningRate = 0.1
@@ -159,10 +152,10 @@ func NewServer(cfg ServerConfig, model *nn.Sequential, roster Roster) *Server {
 		cfg.Rounds = 1
 	}
 	return &Server{
-		Config: cfg,
-		Model:  model,
-		Roster: roster,
-		rng:    nn.RandSource(cfg.Seed, 0x5eed),
+		Config:  cfg,
+		Model:   model,
+		Virtual: roster,
+		rng:     nn.RandSource(cfg.Seed, 0x5eed),
 	}
 }
 
@@ -201,10 +194,9 @@ func (s *Server) fireAfterRound(ctx context.Context, round int, stats RoundStats
 	return nil
 }
 
-// selectRound draws the round's participants, from the materialized Roster
-// or — when Virtual is set — by index over the virtual population, leasing
-// only the sampled cohort. Both paths run the identical sampler rng
-// operations on the server goroutine.
+// selectRound draws the round's cohort indices over the roster and leases
+// exactly those clients, running the sampler's rng operations on the server
+// goroutine.
 func (s *Server) selectRound(round int) ([]Client, error) {
 	sampler := s.Sampler
 	if sampler == nil {
@@ -212,34 +204,15 @@ func (s *Server) selectRound(round int) ([]Client, error) {
 		// the default selection stays bit-identical to older releases.
 		sampler = UniformSampler{}
 	}
-	if s.Virtual == nil {
-		clients := s.Roster.Clients()
-		if len(clients) == 0 {
-			return nil, fmt.Errorf("fl: round %d: no clients connected", round)
-		}
-		m := s.Config.ClientsPerRound
-		if m <= 0 || m > len(clients) {
-			m = len(clients)
-		}
-		selected := sampler.Sample(round, clients, m, s.rng)
-		if len(selected) == 0 {
-			return nil, fmt.Errorf("fl: round %d: sampler %s selected no clients", round, sampler.Name())
-		}
-		return selected, nil
-	}
 	n := s.Virtual.NumClients()
 	if n == 0 {
 		return nil, fmt.Errorf("fl: round %d: no clients connected", round)
-	}
-	is, ok := sampler.(IndexSampler)
-	if !ok {
-		return nil, fmt.Errorf("fl: round %d: sampler %s cannot drive a virtual roster (no SampleIndices)", round, sampler.Name())
 	}
 	m := s.Config.ClientsPerRound
 	if m <= 0 || m > n {
 		m = n
 	}
-	indices := is.SampleIndices(round, n, m, s.Virtual.NumSamples, s.rng)
+	indices := sampler.SampleIndices(round, n, m, s.Virtual.NumSamples, s.rng)
 	if len(indices) == 0 {
 		return nil, fmt.Errorf("fl: round %d: sampler %s selected no clients", round, sampler.Name())
 	}
@@ -248,7 +221,7 @@ func (s *Server) selectRound(round int) ([]Client, error) {
 		return nil, fmt.Errorf("fl: round %d: leasing cohort: %w", round, err)
 	}
 	if len(selected) != len(indices) {
-		return nil, fmt.Errorf("fl: round %d: virtual roster leased %d clients for %d indices", round, len(selected), len(indices))
+		return nil, fmt.Errorf("fl: round %d: roster leased %d clients for %d indices", round, len(selected), len(indices))
 	}
 	return selected, nil
 }
@@ -268,11 +241,9 @@ func (s *Server) runRound(ctx context.Context, round int) (RoundStats, error) {
 	if err != nil {
 		return RoundStats{}, err
 	}
-	if s.Virtual != nil {
-		// The cohort's release runs after Finalize and the applied step, so
-		// leased state lives exactly as long as the round that sampled it.
-		defer s.Virtual.Release(round, selected)
-	}
+	// The cohort's release runs after Finalize and the applied step, so
+	// leased state lives exactly as long as the round that sampled it.
+	defer s.Virtual.Release(round, selected)
 
 	spec, err := EncodeModel(s.Model)
 	if err != nil {

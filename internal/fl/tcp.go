@@ -60,6 +60,7 @@ type TCPServer struct {
 
 	mu      sync.Mutex
 	clients map[string]*remoteClient
+	roster  []Client // sorted snapshot taken by NumClients
 	closed  bool
 }
 
@@ -119,12 +120,14 @@ func (s *TCPServer) handshake(conn net.Conn) {
 	s.mu.Unlock()
 }
 
-// Clients returns the currently registered remote clients, sorted by
-// client ID. The roster feeds Server.selectRound's sampler, so its order
-// must be a function of the population, not of map iteration or of the
-// order in which connections happened to arrive — otherwise the same
-// sampler rng draws would select different clients on every run.
-func (s *TCPServer) Clients() []Client {
+// NumClients snapshots the registered remote clients, sorted by client ID,
+// and returns the snapshot's size. The snapshot feeds Server.selectRound's
+// sampler, so its order must be a function of the population, not of map
+// iteration or of the order in which connections happened to arrive —
+// otherwise the same sampler rng draws would select different clients on
+// every run. Lease indexes the same snapshot, so a client that connects
+// mid-selection cannot shift the cohort.
+func (s *TCPServer) NumClients() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ids := make([]string, 0, len(s.clients))
@@ -132,12 +135,26 @@ func (s *TCPServer) Clients() []Client {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	out := make([]Client, 0, len(ids))
+	s.roster = s.roster[:0]
 	for _, id := range ids {
-		out = append(out, s.clients[id])
+		s.roster = append(s.roster, s.clients[id])
 	}
-	return out
+	return len(s.roster)
 }
+
+// NumSamples returns 0: remote shard sizes are not known server-side, so
+// size-weighted sampling weighs every peer as one sample.
+func (s *TCPServer) NumSamples(int) int { return 0 }
+
+// Lease returns the clients at indices of the last NumClients snapshot.
+func (s *TCPServer) Lease(_ int, indices []int) ([]Client, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return leaseFrom(s.roster, indices)
+}
+
+// Release is a no-op: connections outlive rounds.
+func (s *TCPServer) Release(int, []Client) {}
 
 // WaitForClients blocks until at least n clients are connected or ctx ends.
 func (s *TCPServer) WaitForClients(ctx context.Context, n int) error {

@@ -176,7 +176,7 @@ func TestTCPDuplicateClientIDReplacesOld(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // let both handshakes land
-	if got := len(srv.Clients()); got != 1 {
+	if got := srv.NumClients(); got != 1 {
 		t.Errorf("%d clients registered for one ID", got)
 	}
 }

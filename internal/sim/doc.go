@@ -79,9 +79,10 @@
 // shard length resolved from a lazy partition (data.PartitionLazy computes
 // any Shard(k) on demand from the same keyed stream the eager partitioner
 // consumes, so lazy and eager shards are element-identical). A client is
-// instantiated only when a round's cohort leases it:
+// instantiated only when a round's cohort leases it, through the same
+// fl.Roster lifecycle every roster follows:
 //
-//	SampleIndices → Lease(round, indices) → train/observe → aggregate → Release
+//	NumClients → SampleIndices → Lease(round, indices) → train/observe → aggregate → Release
 //
 // Lease materializes the cohort in index order; Release runs after the
 // server step. Instantiated clients stay resident across rounds — their

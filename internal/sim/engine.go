@@ -161,8 +161,7 @@ func run(ctx context.Context, sc Scenario, opts Options) (*Report, error) {
 		// fires for genuinely wedged clients, never for simulated delays.
 		cfg.RoundDeadline = time.Duration(4*sc.DeadlineMS) * time.Millisecond
 	}
-	server := fl.NewServer(cfg, model, nil)
-	server.Virtual = vp
+	server := fl.NewServer(cfg, model, vp)
 	server.Sampler, err = fl.NewSamplerByName(sc.Sampling)
 	if err != nil {
 		return nil, err

@@ -72,7 +72,7 @@ type virtualClient struct {
 	shardLen  int
 }
 
-// virtualPopulation implements fl.VirtualRoster over a scenario: the full
+// virtualPopulation implements fl.Roster over a scenario: the full
 // population exists only as keyed-stream descriptors (lazy partition, sorted
 // membership sets), and real simClient state is instantiated per sampled
 // cohort. Instantiated clients stay resident for the rest of the run —
@@ -97,7 +97,7 @@ type virtualPopulation struct {
 	resident map[int]*simClient
 }
 
-var _ fl.VirtualRoster = (*virtualPopulation)(nil)
+var _ fl.Roster = (*virtualPopulation)(nil)
 
 // newVirtualPopulation wraps the scenario's lazily partitioned population.
 func newVirtualPopulation(sc Scenario, trainDS data.Dataset, parts *data.LazyPartition) *virtualPopulation {

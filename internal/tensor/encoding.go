@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // wireTensor is the gob wire representation of a Tensor.
@@ -30,7 +31,9 @@ func (t *Tensor) GobDecode(p []byte) error {
 	}
 	n := 1
 	for _, d := range w.Shape {
-		if d <= 0 {
+		// A peer-supplied shape must not overflow the element count: a
+		// product that wraps could otherwise match a short data slice.
+		if d <= 0 || d > math.MaxInt/n {
 			return fmt.Errorf("tensor: gob decode: invalid shape %v", w.Shape)
 		}
 		n *= d

@@ -3,6 +3,7 @@ package tensor
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	rand "math/rand/v2"
 	"testing"
 )
@@ -43,6 +44,33 @@ func TestGobDecodeRejectsCorruptShape(t *testing.T) {
 	}
 	if err := back.GobDecode(buf.Bytes()); err == nil {
 		t.Error("decode of negative dimension succeeded")
+	}
+}
+
+// TestGobDecodeRejectsOverflowingShape pins the overflow check on the
+// element count: a peer-supplied shape whose product wraps around int must
+// be rejected, never matched against a (possibly empty) data slice.
+func TestGobDecodeRejectsOverflowingShape(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		shape []int
+		data  []float64
+	}{
+		{"wraps to zero", []int{1 << 32, 1 << 32}, nil},
+		{"wraps to zero in three dims", []int{1 << 31, 1 << 31, 4}, nil},
+		{"wraps to one element", []int{math.MaxInt, math.MaxInt}, []float64{0}}, // (2⁶³−1)² ≡ 1 mod 2⁶⁴
+		{"max int doubled", []int{math.MaxInt, 2}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(wireTensor{Shape: tc.shape, Data: tc.data}); err != nil {
+				t.Fatal(err)
+			}
+			var back Tensor
+			if err := back.GobDecode(buf.Bytes()); err == nil {
+				t.Errorf("decode of shape %v with %d elements succeeded", tc.shape, len(tc.data))
+			}
+		})
 	}
 }
 

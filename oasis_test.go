@@ -135,7 +135,7 @@ func TestFLIntegrationWithDishonestServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dishonest, err := NewCAHServer(atk, rng)
+	dishonest, err := NewAttackServer(atk, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
