@@ -32,7 +32,7 @@ type Victim struct {
 }
 
 // NewVictim assembles a victim model around a planted malicious layer
-// (W [n×d], b [n]). The head is built with identical columns so that
+// (W [n×d], b [n]), which takes ownership of w and b. The head is built with identical columns so that
 // ∂L/∂z_i is the same for every neuron i of one sample — the construction
 // both published attacks use so that per-neuron gradient arithmetic isolates
 // samples cleanly.

@@ -54,7 +54,9 @@ func DPTradeoff(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	amplified, err := attack.NewVictimGain(dims, ds.NumClasses(), malW, malB, rng, 64)
+	// Each victim owns its malicious layer's parameters; give the second
+	// one its own copies.
+	amplified, err := attack.NewVictimGain(dims, ds.NumClasses(), malW.Clone(), malB.Clone(), rng, 64)
 	if err != nil {
 		return nil, err
 	}

@@ -134,7 +134,6 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 		initial = net.Weights()
 	}
 
-	var grads []*tensor.Tensor
 	lossSum := 0.0
 	lastBatch := 0
 	for step := 0; step < steps; step++ {
@@ -152,25 +151,21 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 			}
 		}
 	}
-	if steps > 1 {
-		final := net.Weights()
-		grads = make([]*tensor.Tensor, len(final))
-		for i := range final {
-			grads[i] = initial[i].Sub(final[i]).ScaleInPlace(1 / lr)
-			// The weight snapshots are round-local scratch; hand them back
-			// to the tensor arena now that the pseudo-gradient is formed.
-			initial[i].Release()
-			final[i].Release()
+	// The decoded model is round-local and its buffers come from the arena,
+	// so they feed the next cohort member instead of the collector. The
+	// upload is either the gradient buffers themselves (one step) or the
+	// initial-weight snapshots turned into (w₀ − w_k)/lr in place; the
+	// server releases it after aggregation.
+	params := net.Params()
+	grads := make([]*tensor.Tensor, len(params))
+	for i, p := range params {
+		if steps > 1 {
+			grads[i] = initial[i].AddScaledInPlace(-1, p.W).ScaleInPlace(1 / lr)
+			p.G.Release()
+		} else {
+			grads[i] = p.G
 		}
-	} else {
-		grads = net.Gradients()
-	}
-	// The decoded model is round-local: its parameters were cloned out of the
-	// spec and the upload gradients cloned out of it, so its buffers can feed
-	// the next cohort member instead of the collector.
-	for _, p := range net.Params() {
 		p.W.Release()
-		p.G.Release()
 	}
 	if c.GradDef != nil {
 		c.GradDef.Apply(grads)

@@ -29,6 +29,7 @@ package fl
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/oasisfl/oasis/internal/nn"
 	"github.com/oasisfl/oasis/internal/tensor"
@@ -152,6 +153,9 @@ func encodeLayer(l nn.Layer) (LayerSpec, error) {
 }
 
 // DecodeModel reconstructs a runnable network from its wire description.
+// Every parameter value and gradient of the network comes from the workspace
+// arena, so a caller that discards the network (LocalClient) can Release
+// them and the next decode reuses the arrays instead of allocating afresh.
 func DecodeModel(spec ModelSpec) (*nn.Sequential, error) {
 	layers, err := decodeLayers(spec.Layers)
 	if err != nil {
@@ -175,7 +179,10 @@ func decodeLayers(specs []LayerSpec) ([]nn.Layer, error) {
 func decodeLayer(s LayerSpec) (nn.Layer, error) {
 	switch s.Kind {
 	case "linear":
-		return nn.NewLinearFrom(s.Name, s.W, s.B)
+		if s.W == nil || s.B == nil {
+			return nil, fmt.Errorf("fl: linear spec %q missing parameters", s.Name)
+		}
+		return nn.NewLinearFrom(s.Name, s.W.ClonePooled(), s.B.ClonePooled())
 	case "relu":
 		return nn.NewReLU(s.Name), nil
 	case "sigmoid":
@@ -192,21 +199,19 @@ func decodeLayer(s LayerSpec) (nn.Layer, error) {
 		if s.W == nil || s.B == nil {
 			return nil, fmt.Errorf("fl: conv spec %q missing parameters", s.Name)
 		}
-		c := nn.NewConv2D(s.Name, s.InC, s.OutC, s.K, s.Stride, s.Pad, nn.RandSource(0, 0))
-		if !c.Weight.W.SameShape(s.W) || !c.Bias.W.SameShape(s.B) {
+		if !slices.Equal(s.W.Shape(), []int{s.OutC, s.InC, s.K, s.K}) || !slices.Equal(s.B.Shape(), []int{s.OutC}) {
 			return nil, fmt.Errorf("fl: conv spec %q parameter shapes %v/%v do not match geometry", s.Name, s.W.Shape(), s.B.Shape())
 		}
-		copy(c.Weight.W.Data(), s.W.Data())
-		copy(c.Bias.W.Data(), s.B.Data())
-		return c, nil
+		return nn.NewConv2DFrom(s.Name, s.W.ClonePooled(), s.B.ClonePooled(), s.Stride, s.Pad)
 	case "batchnorm":
-		bn := nn.NewBatchNorm2D(s.Name, s.Channels)
-		if !bn.Gamma.W.SameShape(s.Gamma) || !bn.Beta.W.SameShape(s.Beta) ||
+		if s.Gamma == nil || s.Beta == nil || !slices.Equal(s.Gamma.Shape(), []int{s.Channels}) ||
 			len(s.RunningMean) != s.Channels || len(s.RunningVar) != s.Channels {
 			return nil, fmt.Errorf("fl: batchnorm spec %q has inconsistent shapes", s.Name)
 		}
-		copy(bn.Gamma.W.Data(), s.Gamma.Data())
-		copy(bn.Beta.W.Data(), s.Beta.Data())
+		bn, err := nn.NewBatchNorm2DFrom(s.Name, s.Gamma.ClonePooled(), s.Beta.ClonePooled())
+		if err != nil {
+			return nil, fmt.Errorf("fl: batchnorm spec %q: %w", s.Name, err)
+		}
 		copy(bn.RunningMean, s.RunningMean)
 		copy(bn.RunningVar, s.RunningVar)
 		bn.Eps, bn.Momentum = s.Eps, s.Momentum

@@ -136,6 +136,48 @@ func TestDecodeRejectsCorruptBatchNorm(t *testing.T) {
 	}
 }
 
+// TestDecodeModelParamsFromArena checks that every parameter value and
+// gradient DecodeModel builds is arena-backed, so LocalClient's Release at
+// the end of a round files it in the bucket the next decode draws from. The
+// arena hands out arrays whose capacity is a power of two; tensor.New sizes
+// them exactly, and no size here is a power of two.
+func TestDecodeModelParamsFromArena(t *testing.T) {
+	const n = 1100 // > 1024 floats (8 KiB): every tensor is pool-eligible
+	filled := func(shape ...int) *tensor.Tensor {
+		x := tensor.New(shape...)
+		x.Fill(0.5)
+		return x
+	}
+	spec := ModelSpec{InputKind: "image", Layers: []LayerSpec{
+		{Kind: "conv", Name: "conv", InC: 1, OutC: n, K: 1, Stride: 1,
+			W: filled(n, 1, 1, 1), B: filled(n)},
+		{Kind: "batchnorm", Name: "bn", Channels: n, Eps: 1e-5, Momentum: 0.1,
+			Gamma: filled(n), Beta: filled(n),
+			RunningMean: make([]float64, n), RunningVar: make([]float64, n)},
+		{Kind: "linear", Name: "fc", W: filled(n, 3), B: filled(n)},
+	}}
+	net, err := DecodeModel(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena := func(x *tensor.Tensor) bool {
+		c := cap(x.Data())
+		return c >= 1<<10 && c&(c-1) == 0
+	}
+	ps := net.Params()
+	if len(ps) != 6 {
+		t.Fatalf("decoded %d params, want 6", len(ps))
+	}
+	for _, p := range ps {
+		if !arena(p.W) || !arena(p.G) {
+			t.Errorf("%s: W cap %d, G cap %d for %d elements; want arena capacities", p.Name, cap(p.W.Data()), cap(p.G.Data()), p.W.Len())
+		}
+		if p.W.Data()[0] != 0.5 {
+			t.Errorf("%s: decoded value %v, want the spec's 0.5", p.Name, p.W.Data()[0])
+		}
+	}
+}
+
 // TestMaliciousSwapIsExpressible is the threat-model property: a dishonest
 // server can replace the whole architecture with a different one and the
 // client will faithfully run it.

@@ -42,6 +42,28 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, rng *rand.Rand) *Conv
 	}
 }
 
+// NewConv2DFrom constructs a square-kernel convolution with explicit weights
+// w [outC, inC, K, K] and bias b [outC]; used by model decoding. Like
+// NewLinearFrom it takes ownership of w and b and draws the gradients from
+// the workspace arena.
+func NewConv2DFrom(name string, w, b *tensor.Tensor, stride, pad int) (*Conv2D, error) {
+	if w.Dims() != 4 || w.Dim(2) != w.Dim(3) {
+		return nil, fmt.Errorf("nn: conv weight must be [outC,inC,K,K], got %v", w.Shape())
+	}
+	if b.Dims() != 1 || b.Dim(0) != w.Dim(0) {
+		return nil, fmt.Errorf("nn: conv bias shape %v does not match weight %v", b.Shape(), w.Shape())
+	}
+	if stride < 1 || pad < 0 {
+		return nil, fmt.Errorf("nn: conv stride %d / pad %d out of range", stride, pad)
+	}
+	return &Conv2D{
+		InC: w.Dim(1), OutC: w.Dim(0), K: w.Dim(2), Stride: stride, Pad: pad,
+		Weight: &Param{Name: name + ".weight", W: w, G: tensor.NewPooled(w.Shape()...)},
+		Bias:   &Param{Name: name + ".bias", W: b, G: tensor.NewPooled(b.Shape()...)},
+		name:   name,
+	}, nil
+}
+
 // Forward computes the convolution via im2col + the fused ConvOut kernel
 // (matmul, [B,outC,OH,OW] rearrange, and bias add in one pass).
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
@@ -74,10 +96,31 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates weight/bias gradients and returns the input gradient.
 func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	b, h, w := c.lastInDims[0], c.lastInDims[2], c.lastInDims[3]
+	gRows := c.accumulate(gradOut)
+	// ∂L/∂cols = gRows · Wmat → scatter back with Col2Im.
+	wmat := c.Weight.W.MustReshape(c.OutC, c.InC*c.K*c.K)
+	gCols := tensor.MatMul(gRows, wmat)
+	gRows.Release()
+	dx := tensor.Col2Im(gCols, b, c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
+	gCols.Release()
+	return dx
+}
+
+// backwardParams accumulates weight/bias gradients without forming the
+// input gradient (no gCols product, no Col2Im).
+func (c *Conv2D) backwardParams(gradOut *tensor.Tensor) {
+	c.accumulate(gradOut).Release()
+}
+
+// accumulate adds the weight and bias gradients for gradOut, releases the
+// cols workspace, and returns gradOut rearranged to [B*OH*OW, outC] as a
+// pooled tensor the caller releases.
+func (c *Conv2D) accumulate(gradOut *tensor.Tensor) *tensor.Tensor {
 	if c.lastCols == nil {
 		panic(fmt.Sprintf("nn: %s Backward before Forward(train)", c.name))
 	}
-	b, h, w := c.lastInDims[0], c.lastInDims[2], c.lastInDims[3]
+	b := c.lastInDims[0]
 	oh, ow := c.lastOut[0], c.lastOut[1]
 	if gradOut.Dims() != 4 || gradOut.Dim(0) != b || gradOut.Dim(1) != c.OutC || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
 		panic(fmt.Sprintf("nn: %s Backward shape %v, want [%d,%d,%d,%d]", c.name, gradOut.Shape(), b, c.OutC, oh, ow))
@@ -107,15 +150,9 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			gb[oc] += row[oc]
 		}
 	}
-	// ∂L/∂cols = gRows · Wmat → scatter back with Col2Im.
-	wmat := c.Weight.W.MustReshape(c.OutC, c.InC*c.K*c.K)
-	gCols := tensor.MatMul(gRows, wmat)
-	gRows.Release()
-	dx := tensor.Col2Im(gCols, b, c.InC, h, w, c.K, c.K, c.Stride, c.Pad)
-	gCols.Release()
 	c.lastCols.Release()
 	c.lastCols = nil
-	return dx
+	return gRows
 }
 
 // Params returns weight and bias.
@@ -124,11 +161,9 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.Weight, c.Bias} }
 // Clone returns a deep copy with zeroed gradients (workspaces are not
 // cloned; each instance draws its own from the arena).
 func (c *Conv2D) Clone() Layer {
-	cp := &Conv2D{
-		InC: c.InC, OutC: c.OutC, K: c.K, Stride: c.Stride, Pad: c.Pad,
-		Weight: &Param{Name: c.Weight.Name, W: c.Weight.W.Clone(), G: tensor.New(c.Weight.W.Shape()...)},
-		Bias:   &Param{Name: c.Bias.Name, W: c.Bias.W.Clone(), G: tensor.New(c.Bias.W.Shape()...)},
-		name:   c.name,
+	cp, err := NewConv2DFrom(c.name, c.Weight.W.Clone(), c.Bias.W.Clone(), c.Stride, c.Pad)
+	if err != nil {
+		panic(err) // unreachable: shapes come from a valid layer
 	}
 	return cp
 }

@@ -33,8 +33,12 @@ func CheckGradients(net *Sequential, loss Loss, x *tensor.Tensor, labels []int, 
 	// Analytic pass.
 	net.ZeroGrad()
 	out := net.Forward(x, true)
-	_, g := loss.Compute(out, labels)
-	gx := net.Backward(g)
+	_, gx := loss.Compute(out, labels)
+	// Sequential.Backward skips the first layer's input gradient; chain the
+	// layers here so the input gradient is checked too.
+	for i := len(net.Layers) - 1; i >= 0; i-- {
+		gx = net.Layers[i].Backward(gx)
+	}
 
 	worst := GradCheckResult{}
 	check := func(name string, values, grads []float64) {

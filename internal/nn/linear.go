@@ -38,7 +38,11 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 }
 
 // NewLinearFrom constructs a fully-connected layer with explicit weights and
-// biases; used by the attacks to plant malicious parameters.
+// biases; used by the attacks to plant malicious parameters and by model
+// decoding. The layer takes ownership of w and b: the caller must not keep
+// using them, and passes clones if it shares them with another layer. The
+// gradients come from the workspace arena, so a round-local layer can hand
+// every buffer it holds back with Release.
 func NewLinearFrom(name string, w *tensor.Tensor, b *tensor.Tensor) (*Linear, error) {
 	if w.Dims() != 2 {
 		return nil, fmt.Errorf("nn: linear weight must be 2-D, got %v", w.Shape())
@@ -49,8 +53,8 @@ func NewLinearFrom(name string, w *tensor.Tensor, b *tensor.Tensor) (*Linear, er
 	}
 	return &Linear{
 		In: in, Out: out,
-		Weight: &Param{Name: name + ".weight", W: w.Clone(), G: tensor.New(out, in)},
-		Bias:   &Param{Name: name + ".bias", W: b.Clone(), G: tensor.New(out)},
+		Weight: &Param{Name: name + ".weight", W: w, G: tensor.NewPooled(out, in)},
+		Bias:   &Param{Name: name + ".bias", W: b, G: tensor.NewPooled(out)},
 		name:   name,
 	}, nil
 }
@@ -80,6 +84,12 @@ func (l *Linear) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates ∂L/∂W = gᵀ·x and ∂L/∂b = Σ_B g, returning ∂L/∂x = g·W.
 func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+	l.backwardParams(gradOut)
+	return tensor.MatMul(gradOut, l.Weight.W) // [B,in]
+}
+
+// backwardParams accumulates ∂L/∂W and ∂L/∂b without forming ∂L/∂x.
+func (l *Linear) backwardParams(gradOut *tensor.Tensor) {
 	if l.lastX == nil {
 		panic(fmt.Sprintf("nn: %s Backward called before Forward(train)", l.name))
 	}
@@ -96,7 +106,6 @@ func (l *Linear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			gb[j] += row[j]
 		}
 	}
-	return tensor.MatMul(gradOut, l.Weight.W) // [B,in]
 }
 
 // Params returns weight and bias.
@@ -104,7 +113,7 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 
 // Clone returns a deep copy with zeroed gradients.
 func (l *Linear) Clone() Layer {
-	c, err := NewLinearFrom(l.name, l.Weight.W, l.Bias.W)
+	c, err := NewLinearFrom(l.name, l.Weight.W.Clone(), l.Bias.W.Clone())
 	if err != nil {
 		panic(err) // unreachable: shapes come from a valid layer
 	}

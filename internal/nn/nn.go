@@ -40,7 +40,10 @@ type Layer interface {
 	// Backward consumes the gradient w.r.t. the layer output and returns
 	// the gradient w.r.t. the layer input, accumulating parameter
 	// gradients as a side effect. It must be called after a
-	// Forward(…, true) with the matching input.
+	// Forward(…, true) with the matching input. Sequential.Backward does
+	// not call it on a network's first layer when that layer can
+	// accumulate its parameter gradients alone (Linear, Conv2D); chain
+	// Backward over every layer to get the input gradient.
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's learnable parameters (possibly empty).
 	Params() []*Param
@@ -70,13 +73,30 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// Backward propagates gradOut through all layers in reverse and returns the
-// gradient with respect to the network input.
-func (s *Sequential) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+// paramGrader is implemented by layers that can accumulate their parameter
+// gradients without forming the gradient w.r.t. their input, which for the
+// first layer of a network nobody reads.
+type paramGrader interface {
+	backwardParams(gradOut *tensor.Tensor)
+}
+
+// Backward propagates gradOut through all layers in reverse, accumulating
+// every parameter gradient. The first layer's input gradient is not formed
+// when that layer is a paramGrader: for a first Linear it is a full
+// [B,out]·[out,in] product that no caller reads. CheckGradients chains
+// Layer.Backward itself when it needs the input gradient.
+func (s *Sequential) Backward(gradOut *tensor.Tensor) {
+	if len(s.Layers) == 0 {
+		return
+	}
+	for i := len(s.Layers) - 1; i > 0; i-- {
 		gradOut = s.Layers[i].Backward(gradOut)
 	}
-	return gradOut
+	if first, ok := s.Layers[0].(paramGrader); ok {
+		first.backwardParams(gradOut)
+		return
+	}
+	s.Layers[0].Backward(gradOut)
 }
 
 // Params returns all learnable parameters in layer order.
@@ -113,10 +133,11 @@ func (s *Sequential) NumParams() int {
 	return n
 }
 
-// Gradients returns deep copies of all parameter gradients in layer order.
-// This is the payload a federated-learning client uploads. The copies are
+// Gradients returns deep copies of all parameter gradients in layer order,
+// for a caller that keeps using the network afterwards. The copies are
 // pool-backed: a caller done with one may Release it, and one that never
-// does simply leaves it to the collector.
+// does simply leaves it to the collector. A caller that discards the network
+// (fl.LocalClient) uploads the Param.G tensors themselves instead.
 func (s *Sequential) Gradients() []*tensor.Tensor {
 	ps := s.Params()
 	out := make([]*tensor.Tensor, len(ps))

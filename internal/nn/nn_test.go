@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -82,6 +83,77 @@ func TestGradientAccumulation(t *testing.T) {
 	twice := net.Params()[0].G
 	if !twice.EqualApprox(once.Scale(2), 1e-9) {
 		t.Error("gradients did not accumulate across backward passes")
+	}
+}
+
+// TestSequentialBackwardMatchesFullChain pins Sequential.Backward's skipped
+// first-layer input gradient: every parameter gradient, the first layer's
+// included, must be bit-identical to chaining Layer.Backward over every
+// layer. The nets start with a Linear and a Conv2D (which accumulate their
+// parameter gradients alone) and with a Residual block (which runs its full
+// Backward).
+func TestSequentialBackwardMatchesFullChain(t *testing.T) {
+	rng := RandSource(12, 3)
+	for _, tc := range []struct {
+		name string
+		net  *Sequential
+		x    *tensor.Tensor
+	}{
+		{"linear", NewSequential(
+			NewLinear("fc1", 6, 5, rng),
+			NewReLU("relu"),
+			NewLinear("fc2", 5, 3, rng),
+		), randInput(rng, 4, 6)},
+		{"conv", NewSequential(
+			NewConv2D("conv", 2, 3, 3, 1, 1, rng),
+			NewReLU("relu"),
+			NewFlatten("flat"),
+			NewLinear("fc", 3*4*4, 3, rng),
+		), randInput(rng, 4, 2, 4, 4)},
+		{"residual", NewSequential(
+			NewResidualProj("block",
+				NewConv2D("proj", 2, 3, 1, 1, 0, rng),
+				NewConv2D("block.conv", 2, 3, 3, 1, 1, rng),
+				NewBatchNorm2D("block.bn", 3),
+				NewReLU("block.relu"),
+			),
+			NewGlobalAvgPool("pool"),
+			NewLinear("fc", 3, 3, rng),
+		), randInput(rng, 4, 2, 4, 4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			labels := []int{0, 1, 2, 1}
+			backward := func(chain bool) [][]float64 {
+				tc.net.ZeroGrad()
+				out := tc.net.Forward(tc.x, true)
+				_, g := SoftmaxCrossEntropy{}.Compute(out, labels)
+				if chain {
+					for i := len(tc.net.Layers) - 1; i >= 0; i-- {
+						g = tc.net.Layers[i].Backward(g)
+					}
+				} else {
+					tc.net.Backward(g)
+				}
+				var gs [][]float64
+				for _, p := range tc.net.Params() {
+					gs = append(gs, append([]float64(nil), p.G.Data()...))
+				}
+				return gs
+			}
+			want := backward(true)
+			got := backward(false)
+			first := len(tc.net.Layers[0].Params())
+			for i, p := range tc.net.Params() {
+				if i < first && !slices.ContainsFunc(want[i], func(v float64) bool { return v != 0 }) {
+					t.Fatalf("%s: reference gradient is zero, so a skipped one would go unnoticed", p.Name)
+				}
+				for j := range want[i] {
+					if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("%s[%d] = %v after Sequential.Backward, %v from the full chain", p.Name, j, got[i][j], want[i][j])
+					}
+				}
+			}
+		})
 	}
 }
 

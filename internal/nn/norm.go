@@ -31,18 +31,34 @@ var _ Layer = (*BatchNorm2D)(nil)
 func NewBatchNorm2D(name string, c int) *BatchNorm2D {
 	g := tensor.New(c)
 	g.Fill(1)
+	bn, err := NewBatchNorm2DFrom(name, g, tensor.New(c))
+	if err != nil {
+		panic(err) // unreachable: gamma and beta are both [c]
+	}
+	return bn
+}
+
+// NewBatchNorm2DFrom constructs a batch-norm layer with explicit scale gamma
+// [C] and shift beta [C]; used by model decoding. The running statistics
+// start at mean 0 and variance 1. Like NewLinearFrom it takes ownership of
+// gamma and beta and draws the gradients from the workspace arena.
+func NewBatchNorm2DFrom(name string, gamma, beta *tensor.Tensor) (*BatchNorm2D, error) {
+	if gamma.Dims() != 1 || !gamma.SameShape(beta) {
+		return nil, fmt.Errorf("nn: batchnorm gamma %v and beta %v must be the same 1-D shape", gamma.Shape(), beta.Shape())
+	}
+	c := gamma.Dim(0)
 	rv := make([]float64, c)
 	for i := range rv {
 		rv[i] = 1
 	}
 	return &BatchNorm2D{
 		C: c, Eps: 1e-5, Momentum: 0.1,
-		Gamma:       &Param{Name: name + ".gamma", W: g, G: tensor.New(c)},
-		Beta:        &Param{Name: name + ".beta", W: tensor.New(c), G: tensor.New(c)},
+		Gamma:       &Param{Name: name + ".gamma", W: gamma, G: tensor.NewPooled(c)},
+		Beta:        &Param{Name: name + ".beta", W: beta, G: tensor.NewPooled(c)},
 		RunningMean: make([]float64, c),
 		RunningVar:  rv,
 		name:        name,
-	}
+	}, nil
 }
 
 // Forward normalizes per channel. In training mode it uses batch statistics

@@ -61,8 +61,9 @@
 // stale use panics instead of aliasing recycled memory. Kernel outputs and
 // the conv lowering workspaces are arena-backed: a Conv2D's im2col matrix
 // lives from Forward(train) to the end of the matching Backward, gradient
-// scratch is released within the call that created it, and anything a
-// caller keeps (layer outputs, accumulated gradients) is simply never
+// scratch is released within the call that created it, a federated
+// client's decoded model (weights and gradients) lives for one round, and
+// anything a caller keeps (layer outputs, a trained model) is simply never
 // released and gets collected like an ordinary allocation. Steady-state
 // allocation per training step stays O(model outputs) instead of
 // O(batch·OH·OW) — see the ReportAllocs benchmarks in nn/bench_test.go.

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	rand "math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -92,4 +93,55 @@ func TestGobInsideSlice(t *testing.T) {
 	if len(out) != 2 || !out[0].EqualApprox(in[0], 0) || !out[1].EqualApprox(in[1], 0) {
 		t.Error("slice-of-tensor round trip failed")
 	}
+}
+
+// FuzzTensorGobDecode hardens the tensor wire decoder, which every FL update
+// and dispatched model goes through: whatever bytes a peer sends, GobDecode
+// must return an error or a consistent tensor, never panic, and allocate in
+// proportion to the input rather than to the shape it claims. A decoded
+// tensor must re-encode and decode to the same bits. The seed corpus in
+// testdata/fuzz holds a valid tensor, NaN/±0/±Inf values, and the
+// overflowing shapes of TestGobDecodeRejectsOverflowingShape.
+func FuzzTensorGobDecode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, p []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		var x Tensor
+		err := x.GobDecode(p)
+		runtime.ReadMemStats(&after)
+		// gob caps a slice's up-front allocation at 10 MB whatever length
+		// it claims, and each further element costs at least one input byte.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32<<20+64*len(p)); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(p), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		n := 1
+		for _, d := range x.Shape() {
+			if d <= 0 || d > math.MaxInt/n {
+				t.Fatalf("decoded shape %v has a non-positive dimension or overflows int", x.Shape())
+			}
+			n *= d
+		}
+		if x.Dims() == 0 || n != x.Len() {
+			t.Fatalf("decoded shape %v with %d elements", x.Shape(), x.Len())
+		}
+		again, err := x.GobEncode()
+		if err != nil {
+			t.Fatalf("decoded tensor does not re-encode: %v", err)
+		}
+		var y Tensor
+		if err := y.GobDecode(again); err != nil {
+			t.Fatalf("re-encoded tensor does not decode: %v", err)
+		}
+		if !x.SameShape(&y) {
+			t.Fatalf("round trip changed shape %v to %v", x.Shape(), y.Shape())
+		}
+		for i, v := range x.Data() {
+			if math.Float64bits(v) != math.Float64bits(y.Data()[i]) {
+				t.Fatalf("round trip changed element %d from %v to %v", i, v, y.Data()[i])
+			}
+		}
+	})
 }

@@ -60,7 +60,7 @@ func MatMul(a, b *Tensor) *Tensor {
 	ad, bd, od := a.data, b.data, out.data
 	parallelRows("matmul", m, m*k*n, func(lo, hi int) {
 		w0 := min(mulColBlock, n)
-		panel := getBuf(k * w0)
+		panel := getBuf(k*w0, true)
 		for jb := 0; jb < n; jb += mulColBlock {
 			je := min(jb+mulColBlock, n)
 			w := je - jb
@@ -159,7 +159,7 @@ func MatMulTransA(a, b *Tensor) *Tensor {
 	// fold in ascending-k order.
 	parallelRows("matmul_ta", m, flops, func(lo, hi int) {
 		w0 := min(mulColBlock, n)
-		panel := getBuf(k * w0)
+		panel := getBuf(k*w0, true)
 		for jb := 0; jb < n; jb += mulColBlock {
 			je := min(jb+mulColBlock, n)
 			w := je - jb

@@ -15,8 +15,14 @@ import (
 // live set at 1000-client populations.
 //
 // Buckets hold slices with capacity 2^b ≤ cap < 2^(b+1); a Get reslices a
-// recycled array to the requested length and zeroes it, so a pooled tensor is
-// indistinguishable from a New one.
+// recycled array to the requested length and zeroes it (ClonePooled skips the
+// zeroing, as its copy overwrites every element), so a pooled tensor is
+// indistinguishable from a New one. A Get for n floats draws from the bucket
+// whose arrays all have cap ≥ n, and the arena allocates cap = 2^⌈log₂ n⌉, so
+// a released arena array serves the next request of its size. An exact-capacity
+// array (New, Clone) released here is filed one bucket down and only serves
+// smaller requests: buffers that are released every round should come from
+// NewPooled/ClonePooled.
 
 // minPoolBucket is the smallest pooled capacity class (2^10 floats = 8 KiB);
 // smaller buffers are cheaper to allocate than to pool.
@@ -35,9 +41,10 @@ var (
 	obsPoolRelease = obs.NewCounter("tensor_pool_release_total", "arrays returned to the arena")
 )
 
-// getBuf returns a zeroed []float64 of length n, reusing a pooled array when
-// one is available.
-func getBuf(n int) []float64 {
+// getBuf returns a []float64 of length n, reusing a pooled array when one is
+// available. The slice is zeroed when zero is set; a caller that overwrites
+// every element passes false and may see a recycled array's old contents.
+func getBuf(n int, zero bool) []float64 {
 	if n == 0 {
 		return nil
 	}
@@ -46,8 +53,8 @@ func getBuf(n int) []float64 {
 		if v := bufPools[b].Get(); v != nil {
 			obsPoolHit.Inc()
 			s := v.([]float64)[:n]
-			for i := range s {
-				s[i] = 0
+			if zero {
+				clear(s)
 			}
 			return s
 		}
@@ -74,7 +81,7 @@ func putBuf(s []float64) {
 // tensor that is never released is simply collected like any other.
 func NewPooled(shape ...int) *Tensor {
 	n := checkShape(shape)
-	return &Tensor{shape: append([]int(nil), shape...), data: getBuf(n)}
+	return &Tensor{shape: append([]int(nil), shape...), data: getBuf(n, true)}
 }
 
 // ClonePooled returns a deep copy like Clone, with the backing array drawn
@@ -82,7 +89,7 @@ func NewPooled(shape ...int) *Tensor {
 // controls (upload payloads, per-round snapshots) so they can be handed back
 // with Release instead of feeding the collector.
 func (t *Tensor) ClonePooled() *Tensor {
-	c := &Tensor{shape: append([]int(nil), t.shape...), data: getBuf(len(t.data))}
+	c := &Tensor{shape: append([]int(nil), t.shape...), data: getBuf(len(t.data), false)}
 	copy(c.data, t.data)
 	return c
 }
