@@ -128,14 +128,14 @@ func benchRoster(b *testing.B, n int) *MemoryRoster {
 	if err != nil {
 		b.Fatal(err)
 	}
-	def, err := NewDefense("MR")
+	def, err := NewDefensePipeline("oasis:MR", nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	roster := NewMemoryRoster()
 	for i, shard := range shards {
 		c := NewFLClient(fmt.Sprintf("c%d", i), shard, 8, NewRand(9, uint64(i)))
-		c.Pre = def
+		c.Defense = def
 		roster.Add(c)
 	}
 	return roster

@@ -55,9 +55,9 @@ func run() error {
 		{"sites running OASIS MR+SH (B=16)", "MR+SH", 2 * batchSize},
 	}
 	for _, sc := range scenarios {
-		var def *oasis.Defense
+		var def *oasis.DefensePipeline
 		if sc.defense != "" {
-			if def, err = oasis.NewDefense(sc.defense); err != nil {
+			if def, err = oasis.NewDefensePipeline("oasis:"+sc.defense, nil); err != nil {
 				return err
 			}
 		}
@@ -67,7 +67,7 @@ func run() error {
 		for i, shard := range shards {
 			client := oasis.NewFLClient(fmt.Sprintf("hospital-%d", i+1), shard, sc.batch, oasis.NewRand(7, uint64(i+10)))
 			if def != nil {
-				client.Pre = def
+				client.Defense = def
 			}
 			roster.Add(client)
 		}

@@ -54,12 +54,12 @@ func run() error {
 	defer stopClients()
 	var wg sync.WaitGroup
 	for i := 0; i < numUAVs; i++ {
-		def, err := oasis.NewDefense("SH")
+		def, err := oasis.NewDefensePipeline("oasis:SH", nil)
 		if err != nil {
 			return err
 		}
 		uav := oasis.NewFLClient(fmt.Sprintf("uav-%d", i+1), shards[i], batchSize, oasis.NewRand(11, uint64(i+20)))
-		uav.Pre = def
+		uav.Defense = def
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

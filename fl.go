@@ -79,9 +79,9 @@ func SaveModel(model *Model, path string) error { return fl.SaveModel(model, pat
 // LoadModel restores a model saved with SaveModel.
 func LoadModel(path string) (*Model, error) { return fl.LoadModel(path) }
 
-// NewFLClient constructs a client over a dataset shard. Assign a *Defense to
-// the client's Pre field to turn on OASIS, and a gradient defense (DPSGD,
-// pruning) to GradDef for the §V baselines.
+// NewFLClient constructs a client over a dataset shard. Assign a defense
+// pipeline to the client's Defense field to turn on OASIS ("oasis:MR"), a §V
+// baseline ("dpsgd:1,0.1", "prune:0.3", "ats:MR"), or a chain of them.
 func NewFLClient(name string, shard Dataset, batchSize int, rng *rand.Rand) *FLLocalClient {
 	return fl.NewLocalClient(name, shard, batchSize, rng)
 }

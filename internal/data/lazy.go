@@ -251,17 +251,7 @@ func (q Quantity) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartiti
 	if q.Sigma < 0 {
 		return nil, fmt.Errorf("data: quantity sigma must be ≥ 0, got %g", q.Sigma)
 	}
-	weights := make([]float64, n)
-	total := 0.0
-	for i := range weights {
-		weights[i] = math.Exp(rng.NormFloat64() * q.Sigma)
-		total += weights[i]
-	}
-	props := make([]float64, n)
-	for i, w := range weights {
-		props[i] = w / total
-	}
-	counts := apportion(props, ds.Len())
+	counts := apportion(quantityProps(rng, q.Sigma, n), ds.Len())
 	pool := toInt32(rng.Perm(ds.Len()))
 	offsets := make([]int32, n+1)
 	lens := make([]int32, n)

@@ -41,8 +41,8 @@ func NewPartitioner(spec string) (Partitioner, error) {
 			return def, nil
 		}
 		v, err := strconv.ParseFloat(arg, 64)
-		if err != nil {
-			return 0, fmt.Errorf("data: partitioner %q: bad parameter %q", spec, arg)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return 0, fmt.Errorf("data: partitioner %q: bad parameter %q (want a finite number)", spec, arg)
 		}
 		return v, nil
 	}
@@ -180,17 +180,7 @@ func (q Quantity) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) 
 	if q.Sigma < 0 {
 		return nil, fmt.Errorf("data: quantity sigma must be ≥ 0, got %g", q.Sigma)
 	}
-	weights := make([]float64, n)
-	total := 0.0
-	for i := range weights {
-		weights[i] = math.Exp(rng.NormFloat64() * q.Sigma)
-		total += weights[i]
-	}
-	props := make([]float64, n)
-	for i, w := range weights {
-		props[i] = w / total
-	}
-	counts := apportion(props, ds.Len())
+	counts := apportion(quantityProps(rng, q.Sigma, n), ds.Len())
 	perm := rng.Perm(ds.Len())
 	out := make([][]int, n)
 	off := 0
@@ -202,6 +192,37 @@ func (q Quantity) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) 
 	return out, nil
 }
 
+// quantityProps draws n LogNormal(0, sigma) size weights and normalizes
+// them into shares. When a huge sigma overflows (or underflows) their sum,
+// the largest draw takes the whole share — the limit of the normalized
+// weights as sigma grows — and rebalancing then gives every other client
+// one sample.
+func quantityProps(rng *rand.Rand, sigma float64, n int) []float64 {
+	exps := make([]float64, n)
+	props := make([]float64, n)
+	total := 0.0
+	for i := range props {
+		exps[i] = rng.NormFloat64() * sigma
+		props[i] = math.Exp(exps[i])
+		total += props[i]
+	}
+	if total == 0 || math.IsInf(total, 1) {
+		best := 0
+		for i, e := range exps {
+			if e > exps[best] {
+				best = i
+			}
+		}
+		clear(props)
+		props[best] = 1
+		return props
+	}
+	for i := range props {
+		props[i] /= total
+	}
+	return props
+}
+
 // dirichletDraw samples a probability vector from Dirichlet(alpha·1ₙ) via
 // normalized Gamma(alpha, 1) draws.
 func dirichletDraw(rng *rand.Rand, alpha float64, n int) []float64 {
@@ -211,7 +232,7 @@ func dirichletDraw(rng *rand.Rand, alpha float64, n int) []float64 {
 		g[i] = gammaDraw(rng, alpha)
 		total += g[i]
 	}
-	if total == 0 { // vanishingly unlikely underflow for tiny alpha
+	if total == 0 || math.IsInf(total, 1) { // underflow for tiny alpha, overflow for huge
 		for i := range g {
 			g[i] = 1 / float64(n)
 		}

@@ -174,7 +174,8 @@ func TestNewPartitionerSpecs(t *testing.T) {
 			t.Errorf("%s: Name() = %s, want %s", spec, p.Name(), want)
 		}
 	}
-	for _, bad := range []string{"", "zipf", "dirichlet:x", "dirichlet:-1", "quantity:-2", "iid:3"} {
+	for _, bad := range []string{"", "zipf", "dirichlet:x", "dirichlet:-1", "quantity:-2", "iid:3",
+		"dirichlet:NaN", "dirichlet:Inf", "quantity:NaN", "quantity:Inf", "quantity:+Inf"} {
 		if _, err := NewPartitioner(bad); err == nil {
 			t.Errorf("NewPartitioner(%q): expected error", bad)
 		}

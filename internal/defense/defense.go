@@ -11,33 +11,31 @@ import (
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
-// GradientDefense post-processes a client's gradient tensors before upload.
-type GradientDefense interface {
-	// Apply transforms the gradients in place.
-	Apply(grads []*tensor.Tensor)
-	Name() string
-}
-
 // DPSGD clips the global gradient norm to Clip and adds Gaussian noise with
-// standard deviation Sigma·Clip to every coordinate.
+// standard deviation Sigma·Clip to every coordinate. It acts on the gradient
+// stage only.
 type DPSGD struct {
 	Clip  float64
 	Sigma float64
 	Rng   *rand.Rand
 }
 
-var _ GradientDefense = (*DPSGD)(nil)
+var _ Defense = (*DPSGD)(nil)
 
-// NewDPSGD constructs the defense; clip and sigma must be positive.
+// NewDPSGD constructs the defense; clip must be positive and sigma
+// non-negative, both finite.
 func NewDPSGD(clip, sigma float64, rng *rand.Rand) (*DPSGD, error) {
-	if clip <= 0 || sigma < 0 {
-		return nil, fmt.Errorf("defense: DPSGD needs clip > 0 and sigma ≥ 0, got clip=%g sigma=%g", clip, sigma)
+	if !(clip > 0 && sigma >= 0) || math.IsInf(clip, 1) || math.IsInf(sigma, 1) {
+		return nil, fmt.Errorf("defense: DPSGD needs finite clip > 0 and sigma ≥ 0, got clip=%g sigma=%g", clip, sigma)
 	}
 	return &DPSGD{Clip: clip, Sigma: sigma, Rng: rng}, nil
 }
 
-// Apply clips the joint norm and perturbs every gradient coordinate.
-func (d *DPSGD) Apply(grads []*tensor.Tensor) {
+// ApplyBatch is the identity: DPSGD leaves the batch alone.
+func (d *DPSGD) ApplyBatch(b *data.Batch) *data.Batch { return b }
+
+// ApplyGrads clips the joint norm and perturbs every gradient coordinate.
+func (d *DPSGD) ApplyGrads(grads []*tensor.Tensor) {
 	norm := 0.0
 	for _, g := range grads {
 		n := g.L2Norm()
@@ -61,26 +59,30 @@ func (d *DPSGD) Apply(grads []*tensor.Tensor) {
 func (d *DPSGD) Name() string { return fmt.Sprintf("dpsgd(σ=%g)", d.Sigma) }
 
 // Pruning zeroes all but the largest-magnitude fraction Keep of gradient
-// coordinates (global top-k sparsification).
+// coordinates (global top-k sparsification). It acts on the gradient stage
+// only.
 type Pruning struct {
 	Keep float64 // fraction of coordinates kept, in (0, 1]
 }
 
-var _ GradientDefense = (*Pruning)(nil)
+var _ Defense = (*Pruning)(nil)
 
 // NewPruning constructs the defense; keep must be in (0, 1].
 func NewPruning(keep float64) (*Pruning, error) {
-	if keep <= 0 || keep > 1 {
+	if !(keep > 0 && keep <= 1) {
 		return nil, fmt.Errorf("defense: pruning keep fraction %g outside (0,1]", keep)
 	}
 	return &Pruning{Keep: keep}, nil
 }
 
-// Apply zeroes every coordinate below the global magnitude threshold. The
+// ApplyBatch is the identity: pruning leaves the batch alone.
+func (p *Pruning) ApplyBatch(b *data.Batch) *data.Batch { return b }
+
+// ApplyGrads zeroes every coordinate below the global magnitude threshold. The
 // threshold is the k-th smallest magnitude (k = total·(1−Keep)), found by
 // quickselect in O(total) instead of a full O(total·log total) sort — the
 // same cut a sort would yield, so the output is identical.
-func (p *Pruning) Apply(grads []*tensor.Tensor) {
+func (p *Pruning) ApplyGrads(grads []*tensor.Tensor) {
 	if p.Keep >= 1 {
 		return
 	}
@@ -167,11 +169,13 @@ var ErrNoPolicy = errors.New("defense: ATS requires an augmentation policy")
 // image in the batch is replaced with one transformed version of itself.
 // Unlike OASIS it does not add the original alongside, so a malicious neuron
 // activated solely by the transformed image still reconstructs it perfectly
-// (Figure 14).
+// (Figure 14). It acts on the batch stage only.
 type ATS struct {
 	Policy augment.Policy
 	Rng    *rand.Rand
 }
+
+var _ Defense = (*ATS)(nil)
 
 // NewATS constructs the replacement defense.
 func NewATS(policy augment.Policy, rng *rand.Rand) (*ATS, error) {
@@ -181,9 +185,9 @@ func NewATS(policy augment.Policy, rng *rand.Rand) (*ATS, error) {
 	return &ATS{Policy: policy, Rng: rng}, nil
 }
 
-// Apply returns a new batch where each image is one randomly chosen
+// ApplyBatch returns a new batch where each image is one randomly chosen
 // transform of the original.
-func (a *ATS) Apply(b *data.Batch) *data.Batch {
+func (a *ATS) ApplyBatch(b *data.Batch) *data.Batch {
 	out := &data.Batch{}
 	for i, im := range b.Images {
 		variants := a.Policy.Expand(im)
@@ -192,6 +196,9 @@ func (a *ATS) Apply(b *data.Batch) *data.Batch {
 	}
 	return out
 }
+
+// ApplyGrads is a no-op: ATS leaves the gradients alone.
+func (a *ATS) ApplyGrads([]*tensor.Tensor) {}
 
 // Name returns the defense label.
 func (a *ATS) Name() string { return "ats(" + a.Policy.Name() + ")" }

@@ -20,7 +20,9 @@
 // That single contract is what lets defenses compose: a Pipeline chains any
 // ordered mix of stages, applying every batch rewrite before training and
 // every gradient transform after, which is what real deployments do (e.g.
-// OASIS augmentation *plus* DP noise).
+// OASIS augmentation *plus* DP noise). It is also the federated client's
+// only defense hook: fl.LocalClient runs its Defense's batch stage before
+// every local step and its gradient stage before upload.
 //
 // # The registry
 //

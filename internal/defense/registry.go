@@ -232,15 +232,8 @@ func (s oasisStage) ApplyBatch(b *data.Batch) *data.Batch {
 
 func (s oasisStage) ApplyGrads([]*tensor.Tensor) {}
 
-// gradStage adapts a GradientDefense (DPSGD, pruning) to the two-stage
-// contract; the batch stage is the identity.
-type gradStage struct {
-	GradientDefense
-}
-
-func (s gradStage) ApplyBatch(b *data.Batch) *data.Batch { return b }
-
-func (s gradStage) ApplyGrads(grads []*tensor.Tensor) { s.GradientDefense.Apply(grads) }
+// DPSGD, Pruning and ATS implement Defense themselves (defense.go); their
+// registry constructors only parse the spec argument.
 
 func newDPSGDStage(arg string, cfg Config) (Defense, error) {
 	clipStr, sigmaStr, ok := strings.Cut(arg, ",")
@@ -256,7 +249,7 @@ func newDPSGDStage(arg string, cfg Config) (Defense, error) {
 	if err != nil {
 		return nil, err
 	}
-	return gradStage{d}, nil
+	return d, nil
 }
 
 func newPruneStage(arg string, _ Config) (Defense, error) {
@@ -268,12 +261,7 @@ func newPruneStage(arg string, _ Config) (Defense, error) {
 	if err != nil {
 		return nil, err
 	}
-	return gradStage{d}, nil
-}
-
-// atsStage adapts the ATS replacement defense to the two-stage contract.
-type atsStage struct {
-	ats *ATS
+	return d, nil
 }
 
 func newATSStage(arg string, cfg Config) (Defense, error) {
@@ -284,39 +272,5 @@ func newATSStage(arg string, cfg Config) (Defense, error) {
 	if p == nil {
 		return nil, fmt.Errorf("defense: %q needs a transformation policy to replace with", "ats:"+arg)
 	}
-	d, err := NewATS(p, cfg.Rng)
-	if err != nil {
-		return nil, err
-	}
-	return atsStage{ats: d}, nil
+	return &ATS{Policy: p, Rng: cfg.Rng}, nil
 }
-
-func (s atsStage) Name() string                         { return s.ats.Name() }
-func (s atsStage) ApplyBatch(b *data.Batch) *data.Batch { return s.ats.Apply(b) }
-func (s atsStage) ApplyGrads([]*tensor.Tensor)          {}
-
-// --- Protocol adapters ------------------------------------------------------
-
-// BatchAdapter exposes a Defense's batch stage in the fl.BatchPreprocessor
-// shape (Apply with error) without this package importing the protocol layer.
-type BatchAdapter struct {
-	D Defense
-}
-
-// Apply runs the defense's batch stage; it never fails.
-func (a BatchAdapter) Apply(b *data.Batch) (*data.Batch, error) { return a.D.ApplyBatch(b), nil }
-
-// Name labels the wrapped defense.
-func (a BatchAdapter) Name() string { return a.D.Name() }
-
-// GradAdapter exposes a Defense's gradient stage in the fl.GradientDefense
-// shape.
-type GradAdapter struct {
-	D Defense
-}
-
-// Apply runs the defense's gradient stage in place.
-func (a GradAdapter) Apply(grads []*tensor.Tensor) { a.D.ApplyGrads(grads) }
-
-// Name labels the wrapped defense.
-func (a GradAdapter) Name() string { return a.D.Name() }

@@ -29,21 +29,23 @@ func testBatch(rng *rand.Rand, n int) *data.Batch {
 
 // TestRegistryRoundTrips is the table-driven parse suite: every registered
 // built-in kind must construct from its spec and resolve the expected label,
-// standalone and as a single-segment pipeline.
+// standalone and as a single-segment pipeline, and must leave the stage it
+// does not act in untouched.
 func TestRegistryRoundTrips(t *testing.T) {
 	cases := []struct {
 		spec     string
 		wantName string
+		neutral  string // the stage the kind leaves alone: "batch" or "grads"
 	}{
-		{"oasis:MR", "oasis(MR)"},
-		{"oasis:mR", "oasis(mR)"},
-		{"oasis:MR+SH", "oasis(MR+SH)"},
-		{"dpsgd:1,0.1", "dpsgd(σ=0.1)"},
-		{"dpsgd:2.5,0", "dpsgd(σ=0)"},
-		{"prune:0.3", "prune(keep=0.3)"},
-		{"prune:1", "prune(keep=1)"},
-		{"ats:MR", "ats(MR)"},
-		{"ats:SH", "ats(SH)"},
+		{"oasis:MR", "oasis(MR)", "grads"},
+		{"oasis:mR", "oasis(mR)", "grads"},
+		{"oasis:MR+SH", "oasis(MR+SH)", "grads"},
+		{"dpsgd:1,0.1", "dpsgd(σ=0.1)", "batch"},
+		{"dpsgd:2.5,0", "dpsgd(σ=0)", "batch"},
+		{"prune:0.3", "prune(keep=0.3)", "batch"},
+		{"prune:1", "prune(keep=1)", "batch"},
+		{"ats:MR", "ats(MR)", "grads"},
+		{"ats:SH", "ats(SH)", "grads"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.spec, func(t *testing.T) {
@@ -60,6 +62,23 @@ func TestRegistryRoundTrips(t *testing.T) {
 			}
 			if p.Name() != tc.wantName {
 				t.Errorf("single-segment pipeline name = %q, want %q", p.Name(), tc.wantName)
+			}
+			switch tc.neutral {
+			case "batch":
+				b := testBatch(testRng(3, 3), 2)
+				if out := d.ApplyBatch(b); out != b {
+					t.Errorf("gradient-only kind %q rewrote the batch", tc.spec)
+				}
+			case "grads":
+				g := tensor.New(4, 4)
+				g.FillRandn(testRng(3, 3), 1)
+				want := g.Clone()
+				d.ApplyGrads([]*tensor.Tensor{g})
+				if !g.EqualApprox(want, 0) {
+					t.Errorf("batch-only kind %q changed the gradients", tc.spec)
+				}
+			default:
+				t.Fatalf("case %q names no neutral stage", tc.spec)
 			}
 		})
 	}
@@ -187,35 +206,26 @@ func TestPipelineDuplicateStagesStack(t *testing.T) {
 	}
 }
 
-// TestComposeAndAdapters: Compose wraps constructed defenses, and the
-// Batch/Grad adapters expose the two stages in the protocol-layer shapes.
-func TestComposeAndAdapters(t *testing.T) {
+// TestComposeWrapsConstructedDefenses: Compose chains defenses built
+// outside the registry, and the pipeline reaches each stage.
+func TestComposeWrapsConstructedDefenses(t *testing.T) {
 	dp, err := NewDPSGD(1, 0, testRng(9, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Compose(gradStage{dp})
+	p := Compose(dp)
 	if p.Name() != "dpsgd(σ=0)" {
 		t.Errorf("composed name = %q", p.Name())
 	}
-	ba := BatchAdapter{D: p}
 	b := testBatch(testRng(10, 10), 3)
-	out, err := ba.Apply(b)
-	if err != nil || out.Size() != 3 {
-		t.Errorf("BatchAdapter.Apply = (%v, %v), want identity pass-through", out.Size(), err)
-	}
-	if ba.Name() != p.Name() {
-		t.Errorf("BatchAdapter name %q != pipeline name %q", ba.Name(), p.Name())
+	if out := p.ApplyBatch(b); out != b {
+		t.Error("gradient-only pipeline rewrote the batch")
 	}
 	g := tensor.New(8)
 	g.FillRandn(testRng(11, 11), 10)
-	ga := GradAdapter{D: p}
-	ga.Apply([]*tensor.Tensor{g})
+	p.ApplyGrads([]*tensor.Tensor{g})
 	if n := g.L2Norm(); math.Abs(n-1) > 1e-9 {
-		t.Errorf("GradAdapter did not reach the gradient stage: norm %g", n)
-	}
-	if ga.Name() != p.Name() {
-		t.Errorf("GradAdapter name %q != pipeline name %q", ga.Name(), p.Name())
+		t.Errorf("composed pipeline did not reach the gradient stage: norm %g", n)
 	}
 }
 
@@ -236,7 +246,7 @@ func TestRegisterValidation(t *testing.T) {
 		t.Error("kind containing '|' accepted")
 	}
 	if err := Register("noop-test", func(arg string, cfg Config) (Defense, error) {
-		return gradStage{mustPrune(t, 1)}, nil
+		return mustPrune(t, 1), nil
 	}); err != nil {
 		t.Fatalf("custom registration failed: %v", err)
 	}

@@ -119,7 +119,7 @@ func dpAttackPSNR(ds data.Dataset, rtf *attack.RTF, victim *attack.Victim, clip,
 			if err != nil {
 				return 0, err
 			}
-			dp.Apply([]*tensor.Tensor{gw, gb})
+			dp.ApplyGrads([]*tensor.Tensor{gw, gb})
 		}
 		ev := attack.Evaluate(rtf.Reconstruct(gw, gb), batch.Images)
 		best = append(best, ev.PerOriginalBest...)
@@ -163,7 +163,7 @@ func trainWithDP(trainSet, testSet data.Dataset, clip, sigma float64, epochs int
 				for _, p := range net.Params() {
 					grads = append(grads, p.G)
 				}
-				dp.Apply(grads)
+				dp.ApplyGrads(grads)
 			}
 			optimizer.Step(net.Params())
 		}

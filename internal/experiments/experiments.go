@@ -6,7 +6,7 @@
 //
 // Absolute values differ from the paper — the substrate is a pure-Go
 // simulator over synthetic datasets, not a GPU testbed over ImageNet (see
-// DESIGN.md) — but the comparative shape is reproduced and asserted by the
+// "Running the paper experiments" in the README) — but the comparative shape is reproduced and asserted by the
 // test suite: who wins, the ordering of transforms, and where single
 // transforms fail.
 package experiments

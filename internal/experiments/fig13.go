@@ -14,8 +14,8 @@ import (
 // per transformation. The B=64 unique-label requirement needs ≥ 64 classes;
 // the 10-class synthetic ImageNet is therefore paired with a 100-class
 // variant at the same resolution for this experiment (substitution recorded
-// in EXPERIMENTS.md — the paper's full ImageNet has 1000 classes, so unique
-// labels were free).
+// in the README under "Running the paper experiments" — the paper's full
+// ImageNet has 1000 classes, so unique labels were free).
 func Fig13(cfg Config) (*Result, error) {
 	imnet := data.NewSynthCustom("synth-imagenet-100c", 100, 3, 64, 64, 4096, cfg.Seed)
 	cifar := data.NewSynthCIFAR100(cfg.Seed)

@@ -49,7 +49,7 @@ func Fig14(cfg Config) (*Result, error) {
 	variants := []variant{
 		{"ats(MR)", func(batch *data.Batch) (*data.Batch, []*imaging.Image, error) {
 			// ATS trains on the replaced images; those are the secrets.
-			replaced := ats.Apply(batch)
+			replaced := ats.ApplyBatch(batch)
 			return replaced, replaced.Images, nil
 		}},
 		{"oasis(MR)", func(batch *data.Batch) (*data.Batch, []*imaging.Image, error) {

@@ -12,12 +12,12 @@ import (
 )
 
 // PreserveMean ablates this implementation's one deliberate design choice on
-// top of the paper (DESIGN.md §1): OASIS restores each transformed copy's
-// mean pixel value. The paper's §IV-B mechanism — transforms must "impose
-// minimal change" to the scalar quantity RTF's neurons measure — only binds
-// geometric transforms that vacate pixels (shearing, minor rotation) if the
-// photometric statistic is restored. The ablation runs RTF against SH and mR
-// with restoration on and off:
+// top of the paper (README, "Running the paper experiments"): OASIS
+// restores each transformed copy's mean pixel value. The paper's §IV-B
+// mechanism — transforms must "impose minimal change" to the scalar quantity
+// RTF's neurons measure — only binds geometric transforms that vacate pixels
+// (shearing, minor rotation) if the photometric statistic is restored. The
+// ablation runs RTF against SH and mR with restoration on and off:
 //
 //   - ON: transformed copies share their source's brightness bin, every bin
 //     inverts to a blend, no verbatim recoveries;

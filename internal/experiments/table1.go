@@ -18,7 +18,8 @@ import (
 // on ImageNet/CIFAR100 with Adam (lr 1e-3); this runner trains ResNet-lite
 // on reduced-resolution synthetic variants with the same optimizer family —
 // the comparison of interest (OASIS ≈ WO accuracy) is preserved because all
-// rows share dataset, architecture and budget. See DESIGN.md.
+// rows share dataset, architecture and budget. See the substitutions under
+// "Running the paper experiments" in the README.
 func Table1(cfg Config) (*Result, error) {
 	type setCfg struct {
 		ds     data.Dataset

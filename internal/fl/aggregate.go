@@ -120,10 +120,11 @@ type NormClipped struct {
 
 var _ Aggregator = (*NormClipped)(nil)
 
-// NewNormClipped constructs the clipping aggregator; maxNorm must be > 0.
+// NewNormClipped constructs the clipping aggregator; maxNorm must be finite
+// and > 0.
 func NewNormClipped(maxNorm float64) (*NormClipped, error) {
-	if maxNorm <= 0 {
-		return nil, fmt.Errorf("fl: normclip needs max norm > 0, got %g", maxNorm)
+	if !(maxNorm > 0) || math.IsInf(maxNorm, 1) {
+		return nil, fmt.Errorf("fl: normclip needs a finite max norm > 0, got %g", maxNorm)
 	}
 	return &NormClipped{MaxNorm: maxNorm}, nil
 }
@@ -256,7 +257,7 @@ var _ Aggregator = (*TrimmedMean)(nil)
 // NewTrimmedMean constructs the trimmed-mean aggregator; frac is the
 // fraction trimmed from each tail and must lie in [0, 0.5).
 func NewTrimmedMean(frac float64) (*TrimmedMean, error) {
-	if frac < 0 || frac >= 0.5 {
+	if !(frac >= 0 && frac < 0.5) {
 		return nil, fmt.Errorf("fl: trimmed-mean fraction %g outside [0, 0.5)", frac)
 	}
 	return &TrimmedMean{Frac: frac}, nil
@@ -334,13 +335,21 @@ func NewAggregatorByName(spec string) (Aggregator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return NewTrimmedMean(frac)
+		a, err := NewTrimmedMean(frac)
+		if err != nil {
+			return nil, err
+		}
+		return a, nil
 	case "normclip":
 		maxNorm, err := parse(10)
 		if err != nil {
 			return nil, err
 		}
-		return NewNormClipped(maxNorm)
+		a, err := NewNormClipped(maxNorm)
+		if err != nil {
+			return nil, err
+		}
+		return a, nil
 	default:
 		return nil, fmt.Errorf("fl: unknown aggregator %q (have %v)", spec, AggregatorNames())
 	}

@@ -178,9 +178,14 @@ func TestNewAggregatorByName(t *testing.T) {
 			t.Errorf("%s resolved to %s, want %s", c.spec, a.Name(), c.want)
 		}
 	}
-	for _, bad := range []string{"", "krum", "trimmed:x", "mean:1", "normclip:-3"} {
-		if _, err := NewAggregatorByName(bad); err == nil {
+	for _, bad := range []string{"", "krum", "trimmed:x", "mean:1", "normclip:-3",
+		"trimmed:0.7", "trimmed:NaN", "trimmed:-Inf", "normclip:NaN", "normclip:Inf"} {
+		a, err := NewAggregatorByName(bad)
+		if err == nil {
 			t.Errorf("spec %q accepted", bad)
+		}
+		if a != nil {
+			t.Errorf("spec %q returned a non-nil aggregator %#v alongside its error", bad, a)
 		}
 	}
 	if names := AggregatorNames(); len(names) < 4 || strings.Join(names, ",") != "mean,median,trimmed,normclip" {

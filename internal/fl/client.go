@@ -6,6 +6,7 @@ import (
 	rand "math/rand/v2"
 
 	"github.com/oasisfl/oasis/internal/data"
+	"github.com/oasisfl/oasis/internal/defense"
 	"github.com/oasisfl/oasis/internal/nn"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
@@ -26,47 +27,26 @@ type Update struct {
 	BatchSize int
 }
 
-// BatchPreprocessor transforms a client's local batch before gradients are
-// computed. The OASIS defense (internal/core.Defense) implements this.
-// Implementations shared across clients must be goroutine-safe when the
-// server runs with Workers > 1; core.Defense is pure — and therefore
-// shareable — only when its augmentation policy is deterministic (the
-// standard MR/mR/SH/flip policies are; augment.Randomized is not).
-type BatchPreprocessor interface {
-	Apply(b *data.Batch) (*data.Batch, error)
-	Name() string
-}
-
-// GradientDefense post-processes gradients before upload (DPSGD, pruning).
-// It mirrors internal/defense.GradientDefense without importing it, keeping
-// the protocol layer free of defense policy. Stateful implementations
-// (DPSGD mutates its RNG) must not be shared across clients when the server
-// runs with Workers > 1; give each client its own instance.
-type GradientDefense interface {
-	Apply(grads []*tensor.Tensor)
-	Name() string
-}
-
 // Client executes local training rounds.
 //
 // Concurrency contract: the server never calls HandleRound concurrently on
 // the SAME Client — each client handles at most one in-flight round request.
 // But when ServerConfig.Workers > 1 DIFFERENT clients run concurrently, so
 // any state shared between client instances (a common *rand.Rand, a stateful
-// GradientDefense such as DPSGD, a shared network connection) must either be
-// synchronized or duplicated per client. State owned exclusively by one
-// client needs no locking. An OASIS Defense (internal/core) over a
-// deterministic policy is pure and safe to share; one built with
-// core.RandomizedDefense draws from its policy's *rand.Rand on every Apply
-// and must be per-client. Datasets are read-only and safe to share.
+// defense stage such as DPSGD or ATS, a shared network connection) must
+// either be synchronized or duplicated per client. State owned exclusively by
+// one client needs no locking. An OASIS stage over a deterministic policy is
+// pure and safe to share; one over a randomized policy draws from its
+// policy's *rand.Rand on every batch and must be per-client. Datasets are
+// read-only and safe to share.
 type Client interface {
 	ID() string
 	HandleRound(ctx context.Context, req RoundRequest) (Update, error)
 }
 
 // LocalClient is the standard client: it owns a data shard, samples one
-// batch per round, optionally applies OASIS and/or a gradient defense, and
-// returns the gradients an honest participant would upload.
+// batch per round, runs it through its defense, and returns the gradients an
+// honest participant would upload.
 //
 // Setting LocalSteps > 1 switches the client to FedAvg-style local training:
 // it runs that many SGD steps (learning rate LocalLR, fresh defended batch
@@ -75,17 +55,19 @@ type Client interface {
 // attacks still apply — the first local step's gradient dominates the
 // malicious layer's pseudo-gradient — so OASIS matters in this mode too.
 //
-// A LocalClient satisfies the Client concurrency contract as long as Rng,
-// GradDef, and any randomized Pre policy are not shared with other clients:
-// Shard is only read, and a deterministic-policy OASIS defense is pure.
+// A LocalClient satisfies the Client concurrency contract as long as Rng and
+// any stateful Defense stage are not shared with other clients: Shard is
+// only read, and a deterministic-policy OASIS stage is pure.
 type LocalClient struct {
 	Name      string
 	Shard     data.Dataset
 	BatchSize int
-	Pre       BatchPreprocessor
-	GradDef   GradientDefense
-	Loss      nn.Loss
-	Rng       *rand.Rand
+	// Defense, when set, rewrites every local batch before the forward pass
+	// (ApplyBatch) and transforms the gradients before upload (ApplyGrads):
+	// OASIS, the §V baselines, or a pipeline of them. Nil trains undefended.
+	Defense defense.Defense
+	Loss    nn.Loss
+	Rng     *rand.Rand
 
 	LocalSteps int     // ≤ 1 means single-gradient FedSGD (the paper's setting)
 	LocalLR    float64 // learning rate for local steps; 0 means 0.01
@@ -167,8 +149,8 @@ func (c *LocalClient) HandleRound(ctx context.Context, req RoundRequest) (Update
 		}
 		p.W.Release()
 	}
-	if c.GradDef != nil {
-		c.GradDef.Apply(grads)
+	if c.Defense != nil {
+		c.Defense.ApplyGrads(grads)
 	}
 	return Update{
 		ClientID:  c.Name,
@@ -186,11 +168,8 @@ func (c *LocalClient) localStep(net *nn.Sequential, inputKind string) (loss floa
 	if err != nil {
 		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
 	}
-	if c.Pre != nil {
-		batch, err = c.Pre.Apply(batch)
-		if err != nil {
-			return 0, 0, fmt.Errorf("fl: client %s defense: %w", c.Name, err)
-		}
+	if c.Defense != nil {
+		batch = c.Defense.ApplyBatch(batch)
 	}
 	var x *tensor.Tensor
 	switch inputKind {

@@ -12,8 +12,9 @@
 //   - UpdateObserver taps every raw client update before aggregation (this
 //     is where the attacker runs gradient inversion).
 //
-// Clients defend themselves with a BatchPreprocessor (OASIS) and/or a
-// GradientDefense (DPSGD, pruning). Transports are pluggable: in-memory for
+// Clients defend themselves through one internal/defense.Defense: its batch
+// stage runs before every local step (OASIS, ATS) and its gradient stage
+// before upload (DPSGD, pruning). Transports are pluggable: in-memory for
 // simulation and benchmarks, TCP/gob for genuinely distributed runs.
 //
 // The round engine is concurrent: a bounded worker pool

@@ -57,9 +57,8 @@ type ServerConfig struct {
 	// same seed: only wall-clock time changes. Only HandleRound runs on the
 	// workers; sampling, Lease and Release stay on the server goroutine. A
 	// cohort whose clients share mutable state (a common *rand.Rand, a
-	// stateful GradientDefense, a randomized augmentation policy) must set
-	// Workers to 1 or synchronize that state — see the Client concurrency
-	// contract.
+	// stateful defense stage such as DPSGD or ATS) must set Workers to 1 or
+	// synchronize that state — see the Client concurrency contract.
 	Workers int
 	// RoundDeadline bounds one round's wall-clock time (0 = none): the
 	// dispatch context expires after it, so cooperative clients still in

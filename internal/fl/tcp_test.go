@@ -3,11 +3,11 @@ package fl
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/nn"
 )
 
@@ -131,13 +131,7 @@ func TestTCPClientErrorSurfacesAtServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	// A client whose shard is too small to satisfy its batch size errors
-	// on every round.
-	shards := testShards(t, 1)
-	client := NewLocalClient("broken", shards[0], 8, nn.RandSource(23, 1))
-	client.BatchSize = 8
-	client.Shard = shards[0]
-	client.Pre = errPre{}
+	client := &failingClient{id: "broken"}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() { _ = ServeTCP(ctx, srv.Addr(), client) }()
@@ -147,15 +141,10 @@ func TestTCPClientErrorSurfacesAtServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	server := NewServer(ServerConfig{Rounds: 1}, testModel(nil), srv)
-	if _, err := server.Run(context.Background()); err == nil {
-		t.Error("client-side error did not surface at the server")
+	if _, err := server.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "shard corrupted") {
+		t.Errorf("client-side error did not surface at the server: %v", err)
 	}
 }
-
-type errPre struct{}
-
-func (errPre) Apply(*data.Batch) (*data.Batch, error) { return nil, fmt.Errorf("defense exploded") }
-func (errPre) Name() string                           { return "errpre" }
 
 func TestTCPDuplicateClientIDReplacesOld(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0", TCPServerOptions{})

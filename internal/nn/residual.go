@@ -87,7 +87,8 @@ func (r *Residual) Clone() Layer {
 func (r *Residual) Name() string { return r.name }
 
 // ResNetLiteConfig sizes the small residual classifier used in place of the
-// paper's ResNet-18 (see DESIGN.md substitution table).
+// paper's ResNet-18 (see the substitutions under "Running the paper
+// experiments" in the README).
 type ResNetLiteConfig struct {
 	InChannels int // input image channels
 	NumClasses int

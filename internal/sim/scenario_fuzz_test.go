@@ -9,6 +9,7 @@ import (
 	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/defense"
+	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
@@ -61,6 +62,14 @@ func TestScenarioValidationCorpus(t *testing.T) {
 		{"defense-pipeline-trailing-bar", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "oasis:MR|"} }, "segment 2 is empty"},
 		{"defense-pipeline-only-bar", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "|"} }, "segment 1 is empty"},
 		{"defense-pipeline-bad-tail", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "oasis:MR|dpsgd:1"} }, "segment 2"},
+		{"defense-dpsgd-nan-sigma", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "dpsgd:1,NaN"} }, "finite clip > 0"},
+		{"defense-dpsgd-inf-clip", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "dpsgd:Inf,0.1"} }, "finite clip > 0"},
+		{"defense-prune-nan", func(s *Scenario) { s.Defense = DefenseSpec{Kind: "prune:NaN"} }, "pruning"},
+		{"aggregator-trimmed-nan", func(s *Scenario) { s.Aggregator = "trimmed:NaN" }, "trimmed-mean fraction"},
+		{"aggregator-normclip-nan", func(s *Scenario) { s.Aggregator = "normclip:NaN" }, "finite max norm"},
+		{"aggregator-normclip-inf", func(s *Scenario) { s.Aggregator = "normclip:Inf" }, "finite max norm"},
+		{"partition-dirichlet-nan", func(s *Scenario) { s.Partition = "dirichlet:NaN" }, "finite number"},
+		{"partition-quantity-inf", func(s *Scenario) { s.Partition = "quantity:Inf" }, "finite number"},
 		{"no-clients", func(s *Scenario) { s.Clients = 0 }, "clients must be > 0"},
 		{"negative-rounds", func(s *Scenario) { s.Rounds = -1 }, "rounds must be > 0"},
 	}
@@ -269,4 +278,110 @@ func FuzzScenarioDecode(f *testing.F) {
 			t.Fatalf("normalization is not a fixed point:\n%s\nvs\n%s", a, b)
 		}
 	})
+}
+
+// FuzzSpecStrings hardens the three spec-string parsers a scenario carries
+// (partition, defense pipeline, aggregator). Each string goes to all three;
+// every parser must either error with a nil value, or return a value that
+// runs on a tiny fixed input without panicking. Partitions must also keep
+// the Partitioner contract: disjoint, covering, non-empty shards, eager and
+// lazy alike. The committed corpus in testdata/fuzz/FuzzSpecStrings holds
+// the NaN/Inf parameters that once slipped through.
+func FuzzSpecStrings(f *testing.F) {
+	for _, spec := range []string{
+		"iid", "dirichlet:0.5", "quantity:1",
+		"mean", "median", "trimmed:0.25", "normclip:5",
+		"oasis:MR|dpsgd:1,0.1", "ats:SH|prune:0.3",
+	} {
+		f.Add(spec)
+	}
+	ds := data.NewSynthCustom("fuzz-spec", 4, 1, 4, 4, 100, 3)
+	const clients = 10
+	f.Fuzz(func(t *testing.T, spec string) {
+		if p, err := data.NewPartitioner(spec); err != nil {
+			if p != nil {
+				t.Fatalf("NewPartitioner(%q) returned %#v alongside its error", spec, p)
+			}
+		} else {
+			parts, err := p.Partition(ds, clients, rand.New(rand.NewPCG(1, 2)))
+			if err != nil {
+				t.Fatalf("%q: Partition: %v", spec, err)
+			}
+			checkShards(t, spec+" (eager)", parts, ds.Len())
+			lp, err := data.PartitionLazy(p, ds, clients, rand.New(rand.NewPCG(1, 2)))
+			if err != nil {
+				t.Fatalf("%q: PartitionLazy: %v", spec, err)
+			}
+			lazy := make([][]int, lp.Shards())
+			for k := range lazy {
+				lazy[k] = lp.Shard(k)
+			}
+			checkShards(t, spec+" (lazy)", lazy, ds.Len())
+		}
+
+		if pl, err := defense.NewPipeline(spec, defense.Config{Rng: rand.New(rand.NewPCG(1, 2))}); err != nil {
+			if pl != nil {
+				t.Fatalf("NewPipeline(%q) returned a pipeline alongside its error", spec)
+			}
+		} else if len(pl.Stages()) <= 4 {
+			// Every OASIS stage multiplies the batch, so a long chain of
+			// them grows it exponentially; such chains are parse-checked
+			// only, while short ones still reach every stage kind.
+			batch, err := data.RandomBatch(ds, rand.New(rand.NewPCG(3, 4)), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out := pl.ApplyBatch(batch); out == nil || out.Size() == 0 {
+				t.Fatalf("%q: batch stage returned an empty batch", spec)
+			}
+			g := tensor.New(3, 4)
+			g.FillRandn(rand.New(rand.NewPCG(5, 6)), 1)
+			pl.ApplyGrads([]*tensor.Tensor{g, tensor.New(4)})
+		}
+
+		if a, err := fl.NewAggregatorByName(spec); err != nil {
+			if a != nil {
+				t.Fatalf("NewAggregatorByName(%q) returned %#v alongside its error", spec, a)
+			}
+		} else {
+			a.Reset()
+			for i := 0; i < 3; i++ {
+				g := tensor.New(2, 3)
+				g.FillRandn(rand.New(rand.NewPCG(7, uint64(i))), 1)
+				if err := a.Add(fl.Update{ClientID: "c", Grads: []*tensor.Tensor{g}}); err != nil {
+					t.Fatalf("%q: Add: %v", spec, err)
+				}
+			}
+			out, err := a.Finalize()
+			if err != nil {
+				t.Fatalf("%q: Finalize: %v", spec, err)
+			}
+			if len(out) != 1 || out[0].Len() != 6 {
+				t.Fatalf("%q: aggregated %d tensors, want one of 6 values", spec, len(out))
+			}
+		}
+	})
+}
+
+// checkShards asserts the Partitioner contract: every index in [0, n)
+// appears in exactly one shard, and no shard is empty.
+func checkShards(t *testing.T, label string, parts [][]int, n int) {
+	t.Helper()
+	seen := make([]bool, n)
+	for k, shard := range parts {
+		if len(shard) == 0 {
+			t.Fatalf("%s: shard %d is empty", label, k)
+		}
+		for _, i := range shard {
+			if i < 0 || i >= n || seen[i] {
+				t.Fatalf("%s: index %d out of range or in two shards", label, i)
+			}
+			seen[i] = true
+		}
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("%s: index %d in no shard", label, i)
+		}
+	}
 }

@@ -25,8 +25,9 @@
 //	ev, _, _ := atk.Run(defended, batch.Images, rng)
 //	fmt.Printf("mean PSNR %.1f dB\n", ev.MeanPSNR()) // ~17 dB: unrecognizable
 //
-// See examples/ for complete programs, DESIGN.md for the system inventory
-// and EXPERIMENTS.md for paper-vs-measured results.
+// See examples/ for complete programs, the README's "Architecture map" for
+// the system inventory and its "Running the paper experiments" section for
+// paper-vs-measured results.
 package oasis
 
 import (
@@ -53,7 +54,9 @@ type (
 	Dataset = data.Dataset
 	// Policy produces the augmented counterparts X′_t of an image.
 	Policy = augment.Policy
-	// Defense is the OASIS batch preprocessor (D → D′, Eq. 7).
+	// Defense is the OASIS batch expansion (D → D′, Eq. 7) that
+	// AnalyzeProp1 takes; a federated client takes the registry form,
+	// NewDefensePipeline("oasis:<label>").
 	Defense = core.Defense
 	// Prop1Report quantifies the Proposition-1 condition for a defense.
 	Prop1Report = core.Prop1Report
@@ -112,9 +115,6 @@ func NewDefense(label string) (*Defense, error) {
 	return core.New(p), nil
 }
 
-// NewDefenseWithPolicy builds the OASIS defense around a custom policy.
-func NewDefenseWithPolicy(p Policy) *Defense { return core.New(p) }
-
 // PolicyNames lists the standard policy labels in the order the paper's
 // tables use them.
 func PolicyNames() []string { return []string{"MR", "mR", "SH", "HFlip", "VFlip", "MR+SH"} }
@@ -151,10 +151,11 @@ func NewLinearAttack(ds Dataset) *LinearAttack {
 var AnalyzeProp1 = core.AnalyzeProp1
 
 // Composable defense registry. Every client-side defense — OASIS, the §V
-// baselines, and custom registered families — sits behind one two-stage
-// contract (rewrite the batch before training, transform the gradients
-// before upload) and resolves from a "kind[:arg]" spec, or an ordered
-// '|'-chain of them, e.g. "oasis:MR|dpsgd:1,0.1".
+// baselines (dpsgd, prune, ats), and custom registered families — sits
+// behind one two-stage contract (rewrite the batch before training,
+// transform the gradients before upload) and resolves from a "kind[:arg]"
+// spec, or an ordered '|'-chain of them, e.g. "oasis:MR|dpsgd:1,0.1". Assign
+// the result to a federated client's Defense field.
 type (
 	// ClientDefense is the unified two-stage defense contract
 	// (ApplyBatch/ApplyGrads/Name); pipelines and every registered kind
@@ -173,7 +174,8 @@ type (
 // NewDefensePipeline parses a defense pipeline spec ("prune:0.3", or a chain
 // like "oasis:MR|dpsgd:1,0.1") into an ordered two-stage chain. Stochastic
 // stages draw from rng; give every client its own generator (nil is allowed
-// for parse-only validation). Unknown kinds error with DefenseNames().
+// for parse-only validation and for pipelines with no stochastic stage, such
+// as "oasis:MR"). Unknown kinds error with DefenseNames().
 func NewDefensePipeline(spec string, rng *rand.Rand) (*DefensePipeline, error) {
 	return defense.NewPipeline(spec, defense.Config{Rng: rng})
 }
@@ -191,37 +193,6 @@ func DefenseNames() []string { return defense.Names() }
 func RegisterDefense(kind string, ctor DefenseConstructor) error {
 	return defense.Register(kind, ctor)
 }
-
-// AttachDefense wires a defense's two stages into a federated client: the
-// batch stage becomes the client's preprocessor and the gradient stage its
-// upload transform. Stateful defenses (DPSGD, ATS) must not be attached to
-// more than one client; build one pipeline per client.
-func AttachDefense(c *FLLocalClient, d ClientDefense) {
-	c.Pre = defense.BatchAdapter{D: d}
-	c.GradDef = defense.GradAdapter{D: d}
-}
-
-// Baseline defenses (§V comparisons), kept as thin shims over the registry
-// kinds "dpsgd", "prune", and "ats".
-type (
-	// DPSGDDefense clips and noises gradients (Abadi et al.).
-	DPSGDDefense = defense.DPSGD
-	// PruningDefense zeroes small-magnitude gradients.
-	PruningDefense = defense.Pruning
-	// ATSDefense is the replacement defense of Gao et al. [41].
-	ATSDefense = defense.ATS
-)
-
-// NewDPSGD builds the DP baseline defense.
-func NewDPSGD(clip, sigma float64, rng *rand.Rand) (*DPSGDDefense, error) {
-	return defense.NewDPSGD(clip, sigma, rng)
-}
-
-// NewPruning builds the gradient-sparsification baseline defense.
-func NewPruning(keep float64) (*PruningDefense, error) { return defense.NewPruning(keep) }
-
-// NewATS builds the transformation-replacement baseline defense.
-func NewATS(p Policy, rng *rand.Rand) (*ATSDefense, error) { return defense.NewATS(p, rng) }
 
 // Experiment access.
 type (

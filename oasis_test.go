@@ -121,14 +121,14 @@ func TestFLIntegrationWithDishonestServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := NewDefense("MR+SH")
+	def, err := NewDefensePipeline("oasis:MR+SH", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	roster := NewMemoryRoster()
 	for i, shard := range shards {
 		c := NewFLClient(fmt.Sprintf("c%d", i), shard, 6, NewRand(9, uint64(i+2)))
-		c.Pre = def
+		c.Defense = def
 		roster.Add(c)
 	}
 	atk, err := NewCAHAttack(ds, 200, 16, rng)
@@ -173,20 +173,22 @@ func TestTrainCentralizedFacade(t *testing.T) {
 	}
 }
 
+// TestBaselineDefenseConstructors: the §V baselines resolve through the
+// public registry surface under their resolved labels.
 func TestBaselineDefenseConstructors(t *testing.T) {
-	rng := NewRand(4, 4)
-	if _, err := NewDPSGD(1, 0.1, rng); err != nil {
-		t.Error(err)
-	}
-	if _, err := NewPruning(0.5); err != nil {
-		t.Error(err)
-	}
-	def, err := NewDefense("MR")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewATS(def.Policy, rng); err != nil {
-		t.Error(err)
+	for spec, want := range map[string]string{
+		"dpsgd:1,0.1": "dpsgd(σ=0.1)",
+		"prune:0.5":   "prune(keep=0.5)",
+		"ats:MR":      "ats(MR)",
+	} {
+		def, err := NewDefensePipeline(spec, NewRand(4, 4))
+		if err != nil {
+			t.Errorf("%s: %v", spec, err)
+			continue
+		}
+		if def.Name() != want {
+			t.Errorf("%s resolved to %q, want %q", spec, def.Name(), want)
+		}
 	}
 }
 
@@ -216,16 +218,16 @@ func TestDefensePipelineFacade(t *testing.T) {
 		}
 	}
 
-	// The pipeline attaches to a federated client and the client still
+	// The pipeline is a federated client's defense and the client still
 	// trains: the batch stage expands D, the gradient stage noises uploads.
 	ds := NewSynthDataset("def-api", 4, 1, 8, 8, 64, 9)
 	client := NewFLClient("c0", ds, 4, NewRand(9, 1))
-	AttachDefense(client, pl)
-	if client.Pre == nil || client.GradDef == nil {
-		t.Fatal("AttachDefense left a stage unwired")
-	}
-	if client.Pre.Name() != pl.Name() || client.GradDef.Name() != pl.Name() {
-		t.Error("attached stages do not carry the pipeline label")
+	client.Defense = pl
+	roster := NewMemoryRoster()
+	roster.Add(client)
+	server := NewFLServer(FLServerConfig{Rounds: 1, LearningRate: 0.05, Seed: 9}, NewMLP(ds, 8, NewRand(9, 2)), roster)
+	if _, err := server.Run(context.Background()); err != nil {
+		t.Fatalf("defended client failed to train: %v", err)
 	}
 
 	// Custom registration flows through the public surface into pipelines.
