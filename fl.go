@@ -39,8 +39,9 @@ type (
 	// FLClientSampler draws each round's participant indices (uniform or
 	// size-weighted; assign to FLServer.Sampler, nil means uniform).
 	FLClientSampler = fl.IndexSampler
-	// Partitioner splits a dataset's index space into disjoint client
-	// shards (IID, Dirichlet label skew, quantity skew).
+	// Partitioner is a policy that splits a dataset's index space into
+	// disjoint client shards: IID, Dirichlet label skew, or quantity skew.
+	// It is sealed to those built-in policies; get one from NewPartitioner.
 	Partitioner = data.Partitioner
 	// Scenario declaratively describes a full federated population:
 	// size, partitioning, reliability, defenses, and attack schedule.
@@ -236,17 +237,19 @@ func ShardDataset(ds Dataset, n int, rng *rand.Rand) ([]Dataset, error) {
 	return PartitionDataset(ds, n, data.IID{}, rng)
 }
 
-// PartitionDataset splits a dataset into n client shards under an arbitrary
-// partitioning policy — data.IID, data.Dirichlet{Alpha} label skew,
-// data.Quantity{Sigma} size skew, or anything NewPartitioner resolves.
+// PartitionDataset splits a dataset into n client shards under a built-in
+// partitioning policy — data.IID, data.Dirichlet{Alpha} label skew, or
+// data.Quantity{Sigma} size skew, as NewPartitioner resolves them. Each
+// shard is materialized from the same deferred partition the scenario
+// engine draws.
 func PartitionDataset(ds Dataset, n int, p Partitioner, rng *rand.Rand) ([]Dataset, error) {
-	parts, err := p.Partition(ds, n, rng)
+	parts, err := data.PartitionLazy(p, ds, n, rng)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Dataset, len(parts))
-	for i, idx := range parts {
-		out[i] = data.NewSubset(ds, idx, fmt.Sprintf("%s-shard-%d", ds.Name(), i))
+	out := make([]Dataset, parts.Shards())
+	for k := range out {
+		out[k] = data.NewSubset(ds, parts.Shard(k), fmt.Sprintf("%s-shard-%d", ds.Name(), k))
 	}
 	return out, nil
 }

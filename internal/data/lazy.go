@@ -1,24 +1,22 @@
 package data
 
 import (
-	"fmt"
 	"math"
 	rand "math/rand/v2"
 	"sort"
 )
 
-// LazyPartition is the deferred form of a Partitioner's result: it performs
-// every keyed draw the eager Partition would — permutations, Dirichlet
-// proportions, log-normal weights, rebalancing — once, up front, but stores
-// only the shuffled sample pools plus per-shard offset tables instead of n
-// materialized [][]int shards. Shard(k) then reconstructs client k's exact
-// eager shard on demand, without touching shards 0..k-1, so a
-// million-client population costs O(samples) to describe and O(cohort) to
-// materialize per round.
+// LazyPartition is a partition in deferred form, the only form a policy
+// produces. PartitionLazy performs every keyed draw — permutations,
+// Dirichlet proportions, log-normal weights, rebalancing — once, up front,
+// but the result stores only the shuffled sample pools plus per-shard offset
+// tables instead of n materialized [][]int shards. Shard(k) then builds client k's
+// shard on demand, without touching shards 0..k-1, so a million-client
+// population costs O(samples) to describe and O(cohort) to materialize per
+// round. Callers that want every shard call Shard(k) for each k.
 //
-// The equivalence contract — Shard(k) == Partition(...)[k] element for
-// element, for every partitioner and every population size — is pinned by
-// the differential tests in lazy_test.go.
+// lazy_test.go pins Shard(k), element for element, to the historical eager
+// algorithm kept in partition_ref_test.go.
 type LazyPartition struct {
 	name string
 	n    int
@@ -31,7 +29,7 @@ type LazyPartition struct {
 	offsets [][]int32
 	// lens are the final shard lengths after rebalancing.
 	lens []int32
-	// donated / received replay rebalanceEmpty without materializing: shard
+	// donated / received record rebalancing without materializing: shard
 	// k's base slice loses its donated[k] trailing elements, and an
 	// originally-empty shard holds exactly the received[k] sample index
 	// (-1 = none). Both are nil when no shard came up empty.
@@ -48,8 +46,8 @@ func (lp *LazyPartition) Shards() int { return lp.n }
 // ShardLen returns shard k's size without materializing it.
 func (lp *LazyPartition) ShardLen(k int) int { return int(lp.lens[k]) }
 
-// Shard materializes client k's index shard, identical to the eager
-// Partition result. The caller owns the returned slice.
+// Shard materializes client k's index shard. The caller owns the returned
+// slice.
 func (lp *LazyPartition) Shard(k int) []int {
 	base := 0
 	for p := range lp.pools {
@@ -102,10 +100,11 @@ func (lp *LazyPartition) elementAt(k, pos int) int32 {
 	panic("data: lazy partition rebalance position out of range")
 }
 
-// rebalance replays rebalanceEmpty on the offset tables: the same
-// lowest-indexed-largest donor gives its current last element to each empty
-// shard in index order, recorded as (donated count, received sample) edits
-// instead of slice mutations.
+// rebalance gives every empty shard one sample, so every client can train.
+// Deterministic: empty shards are filled in index order, each from the
+// current lowest-indexed largest shard, which donates its current last
+// element. The moves are recorded as (donated count, received sample) edits
+// on the offset tables instead of slice mutations.
 func (lp *LazyPartition) rebalance() {
 	empty := false
 	for _, l := range lp.lens {
@@ -144,44 +143,24 @@ func (lp *LazyPartition) rebalance() {
 	}
 }
 
-// LazyPartitioner is implemented by partitioners that can build the deferred
-// form directly from their keyed stream. All built-in policies qualify;
-// PartitionLazy falls back to eager materialization for any that do not.
-type LazyPartitioner interface {
-	Partitioner
-	PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error)
-}
-
-// PartitionLazy resolves p's partition in deferred form. Policies
-// implementing LazyPartitioner consume exactly the rng draws their eager
-// Partition would, so the two forms describe the same population bit for
-// bit; other policies are materialized eagerly and wrapped, preserving
-// correctness at eager memory cost.
+// PartitionLazy runs policy p over ds for n clients. It is the single entry
+// point of every partitioning policy: it checks the arguments, lets p draw
+// from rng, and rebalances empty shards.
 func PartitionLazy(p Partitioner, ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
-	if lazy, ok := p.(LazyPartitioner); ok {
-		return lazy.PartitionLazy(ds, n, rng)
+	if err := checkPartitionArgs(ds, n); err != nil {
+		return nil, err
 	}
-	parts, err := p.Partition(ds, n, rng)
+	lp, err := p.draw(ds, n, rng)
 	if err != nil {
 		return nil, err
 	}
-	pool := make([]int32, 0, ds.Len())
-	offsets := make([]int32, n+1)
-	lens := make([]int32, n)
-	for k, shard := range parts {
-		for _, v := range shard {
-			pool = append(pool, int32(v))
-		}
-		offsets[k+1] = int32(len(pool))
-		lens[k] = int32(len(shard))
-	}
-	return &LazyPartition{
-		name: p.Name(), n: n,
-		pools: [][]int32{pool}, offsets: [][]int32{offsets}, lens: lens,
-	}, nil
+	lp.name = p.Name()
+	lp.rebalance()
+	return lp, nil
 }
 
-// toInt32 narrows an index slice for compact pool storage.
+// toInt32 narrows an index slice for compact pool storage. The narrowing is
+// exact: checkPartitionArgs caps a dataset at math.MaxInt32 samples.
 func toInt32(idx []int) []int32 {
 	out := make([]int32, len(idx))
 	for i, v := range idx {
@@ -190,91 +169,20 @@ func toInt32(idx []int) []int32 {
 	return out
 }
 
-// PartitionLazy stores the single permutation and slices it by offsets.
-func (IID) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
-	if err := checkPartitionArgs(ds, n); err != nil {
-		return nil, err
-	}
-	pool := toInt32(rng.Perm(ds.Len()))
-	per, rem := ds.Len()/n, ds.Len()%n
-	offsets := make([]int32, n+1)
-	lens := make([]int32, n)
-	for k := 0; k < n; k++ {
-		size := per
-		if k < rem {
-			size++
-		}
-		lens[k] = int32(size)
-		offsets[k+1] = offsets[k] + int32(size)
+// onePool builds a partition over one shuffled pool, cut into consecutive
+// runs of the given lengths.
+func onePool(perm []int, lens []int32) *LazyPartition {
+	offsets := make([]int32, len(lens)+1)
+	for k, l := range lens {
+		offsets[k+1] = offsets[k] + l
 	}
 	return &LazyPartition{
-		name: IID{}.Name(), n: n,
-		pools: [][]int32{pool}, offsets: [][]int32{offsets}, lens: lens,
-	}, nil
+		n: len(lens), pools: [][]int32{toInt32(perm)}, offsets: [][]int32{offsets}, lens: lens,
+	}
 }
-
-// PartitionLazy keeps one shuffled pool and offset row per class; the draws
-// (per-class shuffle, Dirichlet proportions, apportionment, rebalancing)
-// mirror the eager Partition operation for operation.
-func (d Dirichlet) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
-	if err := checkPartitionArgs(ds, n); err != nil {
-		return nil, err
-	}
-	if d.Alpha <= 0 {
-		return nil, fmt.Errorf("data: dirichlet alpha must be > 0, got %g", d.Alpha)
-	}
-	byClass, order := classIndex(ds)
-	lp := &LazyPartition{name: d.Name(), n: n, lens: make([]int32, n)}
-	for _, y := range order {
-		idx := byClass[y]
-		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		props := dirichletDraw(rng, d.Alpha, n)
-		counts := apportion(props, len(idx))
-		offsets := make([]int32, n+1)
-		for c, k := range counts {
-			offsets[c+1] = offsets[c] + int32(k)
-			lp.lens[c] += int32(k)
-		}
-		lp.pools = append(lp.pools, toInt32(idx))
-		lp.offsets = append(lp.offsets, offsets)
-	}
-	lp.rebalance()
-	return lp, nil
-}
-
-// PartitionLazy draws the weights then the permutation, in the eager order,
-// and stores the permutation sliced by the apportioned counts.
-func (q Quantity) PartitionLazy(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
-	if err := checkPartitionArgs(ds, n); err != nil {
-		return nil, err
-	}
-	if q.Sigma < 0 {
-		return nil, fmt.Errorf("data: quantity sigma must be ≥ 0, got %g", q.Sigma)
-	}
-	counts := apportion(quantityProps(rng, q.Sigma, n), ds.Len())
-	pool := toInt32(rng.Perm(ds.Len()))
-	offsets := make([]int32, n+1)
-	lens := make([]int32, n)
-	for k, c := range counts {
-		lens[k] = int32(c)
-		offsets[k+1] = offsets[k] + int32(c)
-	}
-	lp := &LazyPartition{
-		name: q.Name(), n: n,
-		pools: [][]int32{pool}, offsets: [][]int32{offsets}, lens: lens,
-	}
-	lp.rebalance()
-	return lp, nil
-}
-
-var (
-	_ LazyPartitioner = IID{}
-	_ LazyPartitioner = Dirichlet{}
-	_ LazyPartitioner = Quantity{}
-)
 
 // classIndex groups the dataset's sample indices by label, with the labels
-// in sorted order — the shared first step of both Dirichlet forms.
+// in sorted order.
 func classIndex(ds Dataset) (byClass map[int][]int, order []int) {
 	byClass = make(map[int][]int)
 	for i := 0; i < ds.Len(); i++ {

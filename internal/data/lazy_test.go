@@ -2,6 +2,7 @@ package data
 
 import (
 	"fmt"
+	"math"
 	rand "math/rand/v2"
 	"reflect"
 	"testing"
@@ -26,9 +27,9 @@ var lazyCases = []struct {
 
 // TestLazyShardMatchesEager is the differential proof behind the
 // lazy-materialization engine: for every policy and every shard k,
-// Shard(k) must equal the eager Partition(...)[k] element for element,
-// with ShardLen and Stats agreeing — including populations where the
-// empty-shard rebalance rewrites donor shards.
+// Shard(k) must equal the eager reference algorithm's shard k element for
+// element, with ShardLen and Stats agreeing — including populations where
+// the empty-shard rebalance rewrites donor shards.
 func TestLazyShardMatchesEager(t *testing.T) {
 	for _, tc := range lazyCases {
 		for _, n := range tc.clients {
@@ -38,7 +39,7 @@ func TestLazyShardMatchesEager(t *testing.T) {
 					t.Fatal(err)
 				}
 				ds := NewSynthCustom("lazy-diff", 10, 1, 4, 4, tc.samples, 7)
-				eager, err := p.Partition(ds, n, rand.New(rand.NewPCG(99, 0x5c3a)))
+				eager, err := refPartition(p, ds, n, rand.New(rand.NewPCG(99, 0x5c3a)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,7 +50,6 @@ func TestLazyShardMatchesEager(t *testing.T) {
 				if lazy.Name() != p.Name() || lazy.Shards() != n {
 					t.Fatalf("lazy identity = (%q, %d), want (%q, %d)", lazy.Name(), lazy.Shards(), p.Name(), n)
 				}
-				rebalanced := false
 				eMin, eMax, eTotal := tc.samples, 0, 0
 				for k := range eager {
 					if got := lazy.Shard(k); !reflect.DeepEqual(got, eager[k]) {
@@ -58,14 +58,10 @@ func TestLazyShardMatchesEager(t *testing.T) {
 					if got := lazy.ShardLen(k); got != len(eager[k]) {
 						t.Fatalf("ShardLen(%d) = %d, want %d", k, got, len(eager[k]))
 					}
-					if len(eager[k]) == 1 {
-						rebalanced = true // possible donation target; not conclusive alone
-					}
 					eMin = min(eMin, len(eager[k]))
 					eMax = max(eMax, len(eager[k]))
 					eTotal += len(eager[k])
 				}
-				_ = rebalanced
 				gotMin, gotMax, gotMean := lazy.Stats()
 				if gotMin != eMin || gotMax != eMax || gotMean != float64(eTotal)/float64(n) {
 					t.Fatalf("Stats() = (%d, %d, %g), want (%d, %d, %g)",
@@ -102,34 +98,6 @@ func TestLazyRebalanceActuallyExercised(t *testing.T) {
 	}
 }
 
-// eagerOnly hides the LazyPartitioner refinement so the fallback path of the
-// package-level PartitionLazy is reachable.
-type eagerOnly struct{ IID }
-
-func (e eagerOnly) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) {
-	return e.IID.Partition(ds, n, rng)
-}
-
-// TestLazyFallbackMaterializesEagerly pins the compatibility path: a
-// partitioner without PartitionLazy is materialized eagerly and wrapped,
-// with identical shards.
-func TestLazyFallbackMaterializesEagerly(t *testing.T) {
-	ds := NewSynthCustom("lazy-fallback", 10, 1, 4, 4, 23, 7)
-	eager, err := eagerOnly{}.Partition(ds, 5, rand.New(rand.NewPCG(3, 4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := PartitionLazy(eagerOnly{}, ds, 5, rand.New(rand.NewPCG(3, 4)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range eager {
-		if got := lazy.Shard(k); !reflect.DeepEqual(got, eager[k]) {
-			t.Fatalf("fallback shard %d = %v, want %v", k, got, eager[k])
-		}
-	}
-}
-
 // TestIIDShardPrefixStability pins the keyed-stream property the virtual
 // engine's determinism rests on: the permutation underlying IID depends only
 // on (dataset, seed), never on the client count, so growing the population
@@ -156,8 +124,14 @@ func TestIIDShardPrefixStability(t *testing.T) {
 	}
 }
 
-// TestLazyPartitionErrors mirrors the eager validation: bad arguments fail
-// identically through the lazy entry point.
+// hugeDataset claims more samples than an int32 index can address. Only
+// its length is ever read: partitioning must reject it before drawing.
+type hugeDataset struct{ Dataset }
+
+func (hugeDataset) Len() int { return math.MaxInt32 + 1 }
+
+// TestLazyPartitionErrors pins argument validation: bad arguments fail
+// through the single entry point before any draw.
 func TestLazyPartitionErrors(t *testing.T) {
 	ds := NewSynthCustom("lazy-err", 10, 1, 4, 4, 5, 7)
 	rng := func() *rand.Rand { return rand.New(rand.NewPCG(1, 2)) }
@@ -172,6 +146,11 @@ func TestLazyPartitionErrors(t *testing.T) {
 	}
 	if _, err := PartitionLazy(Quantity{Sigma: -1}, ds, 2, rng()); err == nil {
 		t.Error("negative sigma should fail")
+	}
+	for _, p := range []Partitioner{IID{}, Dirichlet{Alpha: 1}, Quantity{Sigma: 1}} {
+		if _, err := PartitionLazy(p, hugeDataset{ds}, 2, rng()); err == nil {
+			t.Errorf("%s: more than MaxInt32 samples should fail", p.Name())
+		}
 	}
 }
 

@@ -9,22 +9,28 @@ import (
 	"strings"
 )
 
-// Partitioner splits a dataset's index space [0, ds.Len()) into n disjoint
-// client shards that together cover every sample exactly once. It is how a
-// simulated FL population decides who owns which data.
+// Partitioner is a partitioning policy: it splits a dataset's index space
+// [0, ds.Len()) into n disjoint client shards that together cover every
+// sample exactly once. It is how a simulated FL population decides who owns
+// which data.
 //
 // Contract:
 //
 //   - Every index appears in exactly one shard (disjointness + coverage).
-//   - Every shard is non-empty; implementations rebalance if a draw would
+//   - Every shard is non-empty; PartitionLazy rebalances if a draw would
 //     leave a client with no data (an empty shard cannot train).
 //   - The result depends only on (ds.Len(), labels, n, rng state), so a
 //     fixed seed reproduces the same population bit for bit.
+//
+// The interface is sealed to the built-in policies (IID, Dirichlet,
+// Quantity). PartitionLazy is the one way to run a policy, and
+// LazyPartition.Shard is the one way to materialize a shard.
 type Partitioner interface {
 	// Name labels the policy for logs and reports (e.g. "dirichlet:0.1").
 	Name() string
-	// Partition returns n index shards over ds.
-	Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error)
+	// draw consumes rng and returns the policy's partition in deferred
+	// form, before rebalancing. ds and n have passed checkPartitionArgs.
+	draw(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error)
 }
 
 // NewPartitioner resolves a partitioning policy from its textual spec:
@@ -78,10 +84,16 @@ func NewPartitioner(spec string) (Partitioner, error) {
 // PartitionerNames lists the textual specs NewPartitioner accepts.
 func PartitionerNames() []string { return []string{"iid", "dirichlet:<alpha>", "quantity:<sigma>"} }
 
-// checkPartitionArgs validates the shared preconditions of all partitioners.
+// checkPartitionArgs validates the preconditions shared by every policy.
+// Shards store sample indices as int32, so a dataset beyond math.MaxInt32
+// samples is rejected before any draw allocates.
 func checkPartitionArgs(ds Dataset, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("data: cannot partition into %d shards", n)
+	}
+	if ds.Len() > math.MaxInt32 {
+		return fmt.Errorf("data: cannot partition %s (%d samples): more than %d samples",
+			ds.Name(), ds.Len(), math.MaxInt32)
 	}
 	if n > ds.Len() {
 		return fmt.Errorf("data: cannot partition %s (%d samples) across %d clients: need at least one sample per client",
@@ -99,24 +111,17 @@ var _ Partitioner = IID{}
 // Name returns "iid".
 func (IID) Name() string { return "iid" }
 
-// Partition permutes the index space and slices it into near-equal shards.
-func (IID) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) {
-	if err := checkPartitionArgs(ds, n); err != nil {
-		return nil, err
-	}
-	perm := rng.Perm(ds.Len())
-	per, rem := ds.Len()/n, ds.Len()%n
-	out := make([][]int, n)
-	off := 0
-	for i := range out {
-		size := per
-		if i < rem {
-			size++
+// draw permutes the index space and cuts it into near-equal runs.
+func (IID) draw(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
+	per, rem := int32(ds.Len()/n), ds.Len()%n
+	lens := make([]int32, n)
+	for k := range lens {
+		lens[k] = per
+		if k < rem {
+			lens[k]++
 		}
-		out[i] = append([]int(nil), perm[off:off+size]...)
-		off += size
 	}
-	return out, nil
+	return onePool(rng.Perm(ds.Len()), lens), nil
 }
 
 // Dirichlet is the standard label-skew partitioner of the non-IID FL
@@ -133,30 +138,28 @@ var _ Partitioner = Dirichlet{}
 // Name returns "dirichlet:<alpha>".
 func (d Dirichlet) Name() string { return fmt.Sprintf("dirichlet:%g", d.Alpha) }
 
-// Partition splits each class's samples by Dirichlet-drawn proportions, then
-// rebalances so every client ends up with at least one sample.
-func (d Dirichlet) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) {
-	if err := checkPartitionArgs(ds, n); err != nil {
-		return nil, err
-	}
+// draw shuffles each class's samples and splits them by Dirichlet-drawn
+// proportions, keeping one pool and offset row per class. Shard k is its
+// run of every class in label order.
+func (d Dirichlet) draw(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
 	if d.Alpha <= 0 {
 		return nil, fmt.Errorf("data: dirichlet alpha must be > 0, got %g", d.Alpha)
 	}
 	byClass, order := classIndex(ds)
-	out := make([][]int, n)
+	lp := &LazyPartition{n: n, lens: make([]int32, n)}
 	for _, y := range order {
 		idx := byClass[y]
 		rng.Shuffle(len(idx), func(a, b int) { idx[a], idx[b] = idx[b], idx[a] })
-		props := dirichletDraw(rng, d.Alpha, n)
-		counts := apportion(props, len(idx))
-		off := 0
+		counts := apportion(dirichletDraw(rng, d.Alpha, n), len(idx))
+		offsets := make([]int32, n+1)
 		for c, k := range counts {
-			out[c] = append(out[c], idx[off:off+k]...)
-			off += k
+			offsets[c+1] = offsets[c] + int32(k)
+			lp.lens[c] += int32(k)
 		}
+		lp.pools = append(lp.pools, toInt32(idx))
+		lp.offsets = append(lp.offsets, offsets)
 	}
-	rebalanceEmpty(out)
-	return out, nil
+	return lp, nil
 }
 
 // Quantity is the size-skew partitioner: shard sizes are proportional to
@@ -171,25 +174,14 @@ var _ Partitioner = Quantity{}
 // Name returns "quantity:<sigma>".
 func (q Quantity) Name() string { return fmt.Sprintf("quantity:%g", q.Sigma) }
 
-// Partition draws per-client log-normal weights, apportions the index space
-// by them, and slices a random permutation accordingly.
-func (q Quantity) Partition(ds Dataset, n int, rng *rand.Rand) ([][]int, error) {
-	if err := checkPartitionArgs(ds, n); err != nil {
-		return nil, err
-	}
+// draw draws per-client log-normal weights, apportions the index space by
+// them, and cuts a random permutation into runs of those sizes.
+func (q Quantity) draw(ds Dataset, n int, rng *rand.Rand) (*LazyPartition, error) {
 	if q.Sigma < 0 {
 		return nil, fmt.Errorf("data: quantity sigma must be ≥ 0, got %g", q.Sigma)
 	}
 	counts := apportion(quantityProps(rng, q.Sigma, n), ds.Len())
-	perm := rng.Perm(ds.Len())
-	out := make([][]int, n)
-	off := 0
-	for i, k := range counts {
-		out[i] = append([]int(nil), perm[off:off+k]...)
-		off += k
-	}
-	rebalanceEmpty(out)
-	return out, nil
+	return onePool(rng.Perm(ds.Len()), toInt32(counts)), nil
 }
 
 // quantityProps draws n LogNormal(0, sigma) size weights and normalizes
@@ -294,27 +286,4 @@ func apportion(props []float64, total int) []int {
 		counts[fracs[k%len(fracs)].i]++
 	}
 	return counts
-}
-
-// rebalanceEmpty moves one sample from the currently largest shard into each
-// empty shard, so every client can train. Deterministic: the donor is the
-// lowest-indexed largest shard, and the moved sample is its last element.
-func rebalanceEmpty(parts [][]int) {
-	for i := range parts {
-		if len(parts[i]) > 0 {
-			continue
-		}
-		donor, best := -1, 1
-		for j := range parts {
-			if len(parts[j]) > best {
-				donor, best = j, len(parts[j])
-			}
-		}
-		if donor < 0 {
-			continue // nothing to donate; caller guaranteed len ≥ n, unreachable
-		}
-		last := len(parts[donor]) - 1
-		parts[i] = append(parts[i], parts[donor][last])
-		parts[donor] = parts[donor][:last]
-	}
 }

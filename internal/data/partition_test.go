@@ -38,15 +38,77 @@ func checkCover(t *testing.T, ds Dataset, parts [][]int, n int) {
 	}
 }
 
+// materialize partitions ds through PartitionLazy and builds every shard.
+func materialize(t *testing.T, p Partitioner, ds Dataset, n int, rng *rand.Rand) [][]int {
+	t.Helper()
+	lp, err := PartitionLazy(p, ds, n, rng)
+	if err != nil {
+		t.Fatalf("%s n=%d: %v", p.Name(), n, err)
+	}
+	parts := make([][]int, lp.Shards())
+	for k := range parts {
+		parts[k] = lp.Shard(k)
+	}
+	return parts
+}
+
+// TestPartitionersDisjointCoverage is a seeded property test of the
+// Partitioner contract on the production path. The fixed cases come first,
+// then random sample counts, class counts, client counts, alphas and sigmas.
+// For each, the materialized shards must be non-empty, disjoint and
+// covering, ShardLen(k) must equal len(Shard(k)), and Stats must agree with
+// the materialized sizes.
 func TestPartitionersDisjointCoverage(t *testing.T) {
-	ds := partitionTestDataset()
+	type propCase struct {
+		p    Partitioner
+		ds   Dataset
+		n    int
+		seed uint64
+	}
+	var cases []propCase
 	for _, p := range []Partitioner{IID{}, Dirichlet{Alpha: 0.1}, Dirichlet{Alpha: 100}, Quantity{Sigma: 1}} {
 		for _, n := range []int{1, 3, 17, 64} {
-			parts, err := p.Partition(ds, n, rand.New(rand.NewPCG(1, 2)))
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", p.Name(), n, err)
+			cases = append(cases, propCase{p, partitionTestDataset(), n, 2})
+		}
+	}
+	gen := rand.New(rand.NewPCG(15, 0x9a27))
+	for i := range 300 {
+		samples := 1 + gen.IntN(300)
+		c := propCase{
+			ds:   NewSynthCustom("prop", 1+gen.IntN(12), 1, 4, 4, samples, uint64(i)),
+			n:    1 + gen.IntN(samples),
+			seed: gen.Uint64(),
+		}
+		switch gen.IntN(3) {
+		case 0:
+			c.p = IID{}
+		case 1:
+			c.p = Dirichlet{Alpha: math.Pow(10, -2+4*gen.Float64())} // 0.01 to 100
+		default:
+			c.p = Quantity{Sigma: 3 * gen.Float64()}
+		}
+		cases = append(cases, c)
+	}
+	for _, c := range cases {
+		lp, err := PartitionLazy(c.p, c.ds, c.n, rand.New(rand.NewPCG(1, c.seed)))
+		if err != nil {
+			t.Fatalf("%s samples=%d n=%d: %v", c.p.Name(), c.ds.Len(), c.n, err)
+		}
+		parts := make([][]int, lp.Shards())
+		minLen, maxLen, total := c.ds.Len(), 0, 0
+		for k := range parts {
+			parts[k] = lp.Shard(k)
+			if got := lp.ShardLen(k); got != len(parts[k]) {
+				t.Fatalf("%s samples=%d n=%d: ShardLen(%d) = %d, want %d",
+					c.p.Name(), c.ds.Len(), c.n, k, got, len(parts[k]))
 			}
-			checkCover(t, ds, parts, n)
+			minLen, maxLen, total = min(minLen, len(parts[k])), max(maxLen, len(parts[k])), total+len(parts[k])
+		}
+		checkCover(t, c.ds, parts, c.n)
+		gotMin, gotMax, gotMean := lp.Stats()
+		if gotMin != minLen || gotMax != maxLen || gotMean != float64(total)/float64(c.n) {
+			t.Fatalf("%s samples=%d n=%d: Stats() = (%d, %d, %g), want (%d, %d, %g)", c.p.Name(), c.ds.Len(), c.n,
+				gotMin, gotMax, gotMean, minLen, maxLen, float64(total)/float64(c.n))
 		}
 	}
 }
@@ -58,21 +120,12 @@ func TestPartitionerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := p.Partition(ds, 12, rand.New(rand.NewPCG(5, 6)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := p.Partition(ds, 12, rand.New(rand.NewPCG(5, 6)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := materialize(t, p, ds, 12, rand.New(rand.NewPCG(5, 6)))
+		b := materialize(t, p, ds, 12, rand.New(rand.NewPCG(5, 6)))
 		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: same seed produced different partitions", spec)
 		}
-		c, err := p.Partition(ds, 12, rand.New(rand.NewPCG(5, 7)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := materialize(t, p, ds, 12, rand.New(rand.NewPCG(5, 7)))
 		if reflect.DeepEqual(a, c) {
 			t.Errorf("%s: different seeds produced identical partitions", spec)
 		}
@@ -104,11 +157,7 @@ func maxClassShare(ds Dataset, parts [][]int) float64 {
 func TestDirichletSkewScalesWithAlpha(t *testing.T) {
 	ds := partitionTestDataset()
 	share := func(alpha float64) float64 {
-		parts, err := Dirichlet{Alpha: alpha}.Partition(ds, 10, rand.New(rand.NewPCG(3, 4)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return maxClassShare(ds, parts)
+		return maxClassShare(ds, materialize(t, Dirichlet{Alpha: alpha}, ds, 10, rand.New(rand.NewPCG(3, 4))))
 	}
 	skewed, balanced := share(0.1), share(100)
 	if skewed <= balanced {
@@ -127,12 +176,8 @@ func TestDirichletSkewScalesWithAlpha(t *testing.T) {
 func TestQuantitySkewScalesWithSigma(t *testing.T) {
 	ds := partitionTestDataset()
 	spread := func(sigma float64) float64 {
-		parts, err := Quantity{Sigma: sigma}.Partition(ds, 10, rand.New(rand.NewPCG(8, 9)))
-		if err != nil {
-			t.Fatal(err)
-		}
 		lo, hi := math.Inf(1), 0.0
-		for _, p := range parts {
+		for _, p := range materialize(t, Quantity{Sigma: sigma}, ds, 10, rand.New(rand.NewPCG(8, 9))) {
 			lo = math.Min(lo, float64(len(p)))
 			hi = math.Max(hi, float64(len(p)))
 		}
@@ -150,10 +195,10 @@ func TestPartitionErrors(t *testing.T) {
 	ds := NewSynthCustom("tiny", 2, 1, 4, 4, 5, 1)
 	rng := rand.New(rand.NewPCG(1, 1))
 	for _, p := range []Partitioner{IID{}, Dirichlet{Alpha: 1}, Quantity{Sigma: 1}} {
-		if _, err := p.Partition(ds, 6, rng); err == nil {
+		if _, err := PartitionLazy(p, ds, 6, rng); err == nil {
 			t.Errorf("%s: expected error for more clients than samples", p.Name())
 		}
-		if _, err := p.Partition(ds, 0, rng); err == nil {
+		if _, err := PartitionLazy(p, ds, 0, rng); err == nil {
 			t.Errorf("%s: expected error for zero clients", p.Name())
 		}
 	}

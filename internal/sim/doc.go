@@ -76,10 +76,10 @@
 // The engine never allocates O(population) training state. Each client
 // exists first as a cheap descriptor — index, defended/straggler membership
 // (sorted-index sets drawn once per scenario, O(count) retained), and a
-// shard length resolved from a lazy partition (data.PartitionLazy computes
-// any Shard(k) on demand from the same keyed stream the eager partitioner
-// consumes, so lazy and eager shards are element-identical). A client is
-// instantiated only when a round's cohort leases it, through the same
+// shard length resolved from a lazy partition (data.PartitionLazy, the one
+// partition algorithm, draws the keyed stream once and computes any
+// Shard(k) on demand; oasis.PartitionDataset materializes its shards the
+// same way). A client is instantiated only when a round's cohort leases it, through the same
 // fl.Roster lifecycle every roster follows:
 //
 //	NumClients → SampleIndices → Lease(round, indices) → train/observe → aggregate → Release

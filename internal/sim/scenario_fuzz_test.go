@@ -284,9 +284,9 @@ func FuzzScenarioDecode(f *testing.F) {
 // (partition, defense pipeline, aggregator). Each string goes to all three;
 // every parser must either error with a nil value, or return a value that
 // runs on a tiny fixed input without panicking. Partitions must also keep
-// the Partitioner contract: disjoint, covering, non-empty shards, eager and
-// lazy alike. The committed corpus in testdata/fuzz/FuzzSpecStrings holds
-// the NaN/Inf parameters that once slipped through.
+// the Partitioner contract: disjoint, covering, non-empty shards. The
+// committed corpus in testdata/fuzz/FuzzSpecStrings holds the NaN/Inf
+// parameters that once slipped through.
 func FuzzSpecStrings(f *testing.F) {
 	for _, spec := range []string{
 		"iid", "dirichlet:0.5", "quantity:1",
@@ -303,20 +303,15 @@ func FuzzSpecStrings(f *testing.F) {
 				t.Fatalf("NewPartitioner(%q) returned %#v alongside its error", spec, p)
 			}
 		} else {
-			parts, err := p.Partition(ds, clients, rand.New(rand.NewPCG(1, 2)))
-			if err != nil {
-				t.Fatalf("%q: Partition: %v", spec, err)
-			}
-			checkShards(t, spec+" (eager)", parts, ds.Len())
 			lp, err := data.PartitionLazy(p, ds, clients, rand.New(rand.NewPCG(1, 2)))
 			if err != nil {
 				t.Fatalf("%q: PartitionLazy: %v", spec, err)
 			}
-			lazy := make([][]int, lp.Shards())
-			for k := range lazy {
-				lazy[k] = lp.Shard(k)
+			parts := make([][]int, lp.Shards())
+			for k := range parts {
+				parts[k] = lp.Shard(k)
 			}
-			checkShards(t, spec+" (lazy)", lazy, ds.Len())
+			checkShards(t, spec, parts, ds.Len())
 		}
 
 		if pl, err := defense.NewPipeline(spec, defense.Config{Rng: rand.New(rand.NewPCG(1, 2))}); err != nil {
