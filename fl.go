@@ -10,7 +10,6 @@ import (
 	"github.com/oasisfl/oasis/internal/dist"
 	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/nn"
-	"github.com/oasisfl/oasis/internal/opt"
 	"github.com/oasisfl/oasis/internal/sim"
 )
 
@@ -254,55 +253,20 @@ func PartitionDataset(ds Dataset, n int, p Partitioner, rng *rand.Rand) ([]Datas
 	return out, nil
 }
 
-// TrainCentralized runs plain centralized training (used by Table I and the
-// examples): epochs over trainSet with Adam, returning test accuracy.
-func TrainCentralized(model *Model, trainSet, testSet Dataset, def *Defense, epochs, batchSize int, rng *rand.Rand) (float64, error) {
-	optimizer := opt.NewAdam(1e-3, 1e-4)
-	loss := nn.SoftmaxCrossEntropy{}
-	n := trainSet.Len()
-	for ep := 0; ep < epochs; ep++ {
-		perm := rng.Perm(n)
-		for off := 0; off+batchSize <= n; off += batchSize {
-			batch, err := data.TakeBatch(trainSet, perm[off:off+batchSize])
-			if err != nil {
-				return 0, err
-			}
-			if def != nil {
-				batch, err = def.Apply(batch)
-				if err != nil {
-					return 0, err
-				}
-			}
-			model.ZeroGrad()
-			logits := model.Forward(batch.Tensor4D(), true)
-			_, g := loss.Compute(logits, batch.Labels)
-			model.Backward(g)
-			optimizer.Step(model.Params())
-		}
+// TrainCentralized runs plain centralized training, the loop Table I and
+// the DP ablation use: epochs over trainSet with Adam, each batch and its
+// gradients passed through def (nil trains undefended) as on a federated
+// client, returning test accuracy. Flat-input models (NewMLP) get flattened
+// batches.
+func TrainCentralized(model *Model, trainSet, testSet Dataset, def ClientDefense, epochs, batchSize int, rng *rand.Rand) (float64, error) {
+	if _, err := fl.Train(model, trainSet, def, epochs, batchSize, rng); err != nil {
+		return 0, err
 	}
 	return EvaluateAccuracy(model, testSet, batchSize)
 }
 
 // EvaluateAccuracy computes classification accuracy over a dataset in
-// inference mode.
+// inference mode. An empty dataset is an error.
 func EvaluateAccuracy(model *Model, testSet Dataset, batchSize int) (float64, error) {
-	correct, total := 0.0, 0
-	for off := 0; off < testSet.Len(); off += batchSize {
-		end := min(off+batchSize, testSet.Len())
-		idx := make([]int, 0, end-off)
-		for i := off; i < end; i++ {
-			idx = append(idx, i)
-		}
-		batch, err := data.TakeBatch(testSet, idx)
-		if err != nil {
-			return 0, err
-		}
-		logits := model.Forward(batch.Tensor4D(), false)
-		correct += nn.Accuracy(logits, batch.Labels) * float64(batch.Size())
-		total += batch.Size()
-	}
-	if total == 0 {
-		return 0, nil
-	}
-	return correct / float64(total), nil
+	return fl.Evaluate(model, testSet, batchSize)
 }

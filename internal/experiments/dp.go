@@ -7,9 +7,9 @@ import (
 	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/defense"
+	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/metrics"
 	"github.com/oasisfl/oasis/internal/nn"
-	"github.com/oasisfl/oasis/internal/opt"
 	"github.com/oasisfl/oasis/internal/tensor"
 )
 
@@ -129,44 +129,21 @@ func dpAttackPSNR(ds data.Dataset, rtf *attack.RTF, victim *attack.Victim, clip,
 
 // trainWithDP trains a compact CNN with DPSGD-perturbed gradients and
 // returns test accuracy. Initialization and batch order are pinned so σ is
-// the only variable across rows.
+// the only variable across rows; σ = 0 trains unclipped.
 func trainWithDP(trainSet, testSet data.Dataset, clip, sigma float64, epochs int, rng *rand.Rand) (float64, error) {
 	c, _, _ := trainSet.Shape()
-	initRng := nn.RandSource(0xdb0, 7)
-	net := nn.NewResNetLite(nn.ResNetLiteConfig{InChannels: c, NumClasses: trainSet.NumClasses(), Width: 4}, initRng)
-	optimizer := opt.NewAdam(1e-3, 1e-4)
-	loss := nn.SoftmaxCrossEntropy{}
-	batchSize := 24
-	var dp *defense.DPSGD
+	net := nn.NewResNetLite(nn.ResNetLiteConfig{InChannels: c, NumClasses: trainSet.NumClasses(), Width: 4}, nn.RandSource(0xdb0, 7))
+	const batchSize = 24
+	var def defense.Defense
 	if sigma > 0 {
-		var err error
-		dp, err = defense.NewDPSGD(clip, sigma, rng)
+		dp, err := defense.NewDPSGD(clip, sigma, rng)
 		if err != nil {
 			return 0, err
 		}
+		def = dp
 	}
-	n := trainSet.Len()
-	trainRng := nn.RandSource(0xdb1, 8)
-	for ep := 0; ep < epochs; ep++ {
-		perm := trainRng.Perm(n)
-		for off := 0; off+batchSize <= n; off += batchSize {
-			batch, err := data.TakeBatch(trainSet, perm[off:off+batchSize])
-			if err != nil {
-				return 0, err
-			}
-			net.ZeroGrad()
-			logits := net.Forward(batch.Tensor4D(), true)
-			_, g := loss.Compute(logits, batch.Labels)
-			net.Backward(g)
-			if dp != nil {
-				grads := make([]*tensor.Tensor, 0, len(net.Params()))
-				for _, p := range net.Params() {
-					grads = append(grads, p.G)
-				}
-				dp.ApplyGrads(grads)
-			}
-			optimizer.Step(net.Params())
-		}
+	if _, err := fl.Train(net, trainSet, def, epochs, batchSize, nn.RandSource(0xdb1, 8)); err != nil {
+		return 0, err
 	}
-	return evaluateAccuracy(net, testSet, batchSize)
+	return fl.Evaluate(net, testSet, batchSize)
 }

@@ -11,6 +11,20 @@ import (
 // quickCfg is the reduced-scale configuration shared by the smoke tests.
 func quickCfg() Config { return Config{Quick: true, Seed: 42} }
 
+// checkGoldenResult compares a quick run's rendered tables with a committed
+// report captured before Table1 and DPTradeoff shared fl.Train, so any
+// change to the shared loop that moves a printed figure fails here.
+func checkGoldenResult(t *testing.T, res *Result, golden string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.String(); got != string(want) {
+		t.Errorf("%s: report diverged from the golden:\n got:\n%s\nwant:\n%s", golden, got, want)
+	}
+}
+
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2", "fig3", "fig4", "fig5", "fig6", "visual", "fig13", "fig14", "table1", "prop1", "dp", "pm", "robust", "scenario", "sweep"}
 	got := IDs()
@@ -187,6 +201,7 @@ func TestTable1Runs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoldenResult(t, res, "golden-table1-quick.txt")
 	if len(res.Tables) != 1 || len(res.Tables[0].Rows) == 0 {
 		t.Fatal("table1 produced no rows")
 	}
@@ -242,6 +257,7 @@ func TestDPTradeoffShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGoldenResult(t, res, "golden-dp-quick.txt")
 	rows := res.Tables[0].Rows
 	if len(rows) < 2 {
 		t.Fatal("dp table too short")

@@ -1,15 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-	rand "math/rand/v2"
-
-	"github.com/oasisfl/oasis/internal/augment"
-	"github.com/oasisfl/oasis/internal/core"
 	"github.com/oasisfl/oasis/internal/data"
+	"github.com/oasisfl/oasis/internal/defense"
+	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/metrics"
 	"github.com/oasisfl/oasis/internal/nn"
-	"github.com/oasisfl/oasis/internal/opt"
 )
 
 // Table1 reproduces the model-utility comparison: a residual classifier is
@@ -71,8 +67,18 @@ func Table1(cfg Config) (*Result, error) {
 			net := nn.NewResNetLite(nn.ResNetLiteConfig{
 				InChannels: c, NumClasses: sc.ds.NumClasses(), Width: sc.width,
 			}, initRng)
+			var def defense.Defense // WO trains undefended
+			if polName != "WO" {
+				if def, err = defense.New("oasis:"+polName, defense.Config{}); err != nil {
+					return nil, err
+				}
+			}
 			trRng := nn.RandSource(cfg.Seed^0x7ab1e2f, hashLabel(sc.ds.Name()))
-			acc, loss, err := trainAndEvaluate(net, trainSet, testSet, polName, sc.epochs, sc.batch, trRng)
+			loss, err := fl.Train(net, trainSet, def, sc.epochs, sc.batch, trRng)
+			if err != nil {
+				return nil, err
+			}
+			acc, err := fl.Evaluate(net, testSet, sc.batch)
 			if err != nil {
 				return nil, err
 			}
@@ -85,81 +91,4 @@ func Table1(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// trainAndEvaluate runs the fixed training budget and returns test accuracy
-// and the final epoch's mean training loss.
-func trainAndEvaluate(net *nn.Sequential, trainSet, testSet data.Dataset, polName string, epochs, batchSize int, rng *rand.Rand) (float64, float64, error) {
-	pol, err := policyFor(polName)
-	if err != nil {
-		return 0, 0, err
-	}
-	optimizer := opt.NewAdam(1e-3, 1e-4) // paper: Adam, lr 1e-3, weight decay
-	loss := nn.SoftmaxCrossEntropy{}
-	lastLoss := 0.0
-	n := trainSet.Len()
-	for ep := 0; ep < epochs; ep++ {
-		perm := rng.Perm(n)
-		epochLoss, steps := 0.0, 0
-		for off := 0; off+batchSize <= n; off += batchSize {
-			batch, err := data.TakeBatch(trainSet, perm[off:off+batchSize])
-			if err != nil {
-				return 0, 0, err
-			}
-			if pol != nil {
-				batch, err = pol.Apply(batch)
-				if err != nil {
-					return 0, 0, err
-				}
-			}
-			net.ZeroGrad()
-			logits := net.Forward(batch.Tensor4D(), true)
-			l, g := loss.Compute(logits, batch.Labels)
-			net.Backward(g)
-			optimizer.Step(net.Params())
-			epochLoss += l
-			steps++
-		}
-		if steps > 0 {
-			lastLoss = epochLoss / float64(steps)
-		}
-	}
-	acc, err := evaluateAccuracy(net, testSet, batchSize)
-	return acc, lastLoss, err
-}
-
-// policyFor resolves a label into an OASIS defense (nil for WO).
-func policyFor(polName string) (*core.Defense, error) {
-	if polName == "WO" {
-		return nil, nil
-	}
-	p, err := augment.ByName(polName)
-	if err != nil {
-		return nil, err
-	}
-	return core.New(p), nil
-}
-
-// evaluateAccuracy computes mean accuracy over the full test set in
-// inference mode.
-func evaluateAccuracy(net *nn.Sequential, testSet data.Dataset, batchSize int) (float64, error) {
-	correctWeighted, total := 0.0, 0
-	for off := 0; off < testSet.Len(); off += batchSize {
-		end := min(off+batchSize, testSet.Len())
-		idx := make([]int, 0, end-off)
-		for i := off; i < end; i++ {
-			idx = append(idx, i)
-		}
-		batch, err := data.TakeBatch(testSet, idx)
-		if err != nil {
-			return 0, err
-		}
-		logits := net.Forward(batch.Tensor4D(), false)
-		correctWeighted += nn.Accuracy(logits, batch.Labels) * float64(batch.Size())
-		total += batch.Size()
-	}
-	if total == 0 {
-		return 0, fmt.Errorf("experiments: empty test set %s", testSet.Name())
-	}
-	return correctWeighted / float64(total), nil
 }

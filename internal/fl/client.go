@@ -171,14 +171,9 @@ func (c *LocalClient) localStep(net *nn.Sequential, inputKind string) (loss floa
 	if c.Defense != nil {
 		batch = c.Defense.ApplyBatch(batch)
 	}
-	var x *tensor.Tensor
-	switch inputKind {
-	case "flat":
-		x = batch.Flatten()
-	case "image", "":
-		x = batch.Tensor4D()
-	default:
-		return 0, 0, fmt.Errorf("fl: client %s: unknown input kind %q", c.Name, inputKind)
+	x, err := batchInput(batch, inputKind)
+	if err != nil {
+		return 0, 0, fmt.Errorf("fl: client %s: %w", c.Name, err)
 	}
 	net.ZeroGrad()
 	logits := net.Forward(x, true)

@@ -218,17 +218,34 @@ func (zeroingDefense) ApplyGrads(grads []*tensor.Tensor) {
 }
 func (zeroingDefense) Name() string { return "zeroing" }
 
+// TestLocalClientHonoursContext: a client refuses a round it must not or
+// cannot run with an error, never a panic — a cancelled context, or a
+// peer-supplied ModelSpec whose input kind it does not know.
 func TestLocalClientHonoursContext(t *testing.T) {
 	shards := testShards(t, 1)
-	client := NewLocalClient("c0", shards[0], 8, nn.RandSource(5, 5))
-	ctx, cancel := context.WithCancel(context.Background())
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	spec, err := EncodeModel(testModel(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := client.HandleRound(ctx, RoundRequest{Model: spec}); err == nil {
-		t.Error("cancelled context not honoured")
+	for _, tc := range []struct {
+		name      string
+		ctx       context.Context
+		inputKind string // "" keeps the encoded kind
+	}{
+		{"cancelled context", cancelled, ""},
+		{"bogus input kind", context.Background(), "bogus"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			client := NewLocalClient("c0", shards[0], 8, nn.RandSource(5, 5))
+			spec, err := EncodeModel(testModel(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.inputKind != "" {
+				spec.InputKind = tc.inputKind
+			}
+			if _, err := client.HandleRound(tc.ctx, RoundRequest{Model: spec}); err == nil {
+				t.Errorf("%s: round accepted", tc.name)
+			}
+		})
 	}
 }
 

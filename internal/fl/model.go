@@ -17,6 +17,11 @@
 // before upload (DPSGD, pruning). Transports are pluggable: in-memory for
 // simulation and benchmarks, TCP/gob for genuinely distributed runs.
 //
+// Train and Evaluate are the one centralized training loop and held-out
+// accuracy pass (Table I, the DP ablation, the scenario engine's eval
+// rounds); they shape input by the same rule EncodeModel ships as
+// ModelSpec.InputKind.
+//
 // The round engine is concurrent: a bounded worker pool
 // (ServerConfig.Workers) runs HandleRound for the selected clients in
 // parallel, while all bookkeeping — UpdateObserver taps, failure accounting,
@@ -82,13 +87,7 @@ func EncodeModel(net *nn.Sequential) (ModelSpec, error) {
 	if err != nil {
 		return ModelSpec{}, err
 	}
-	kind := "image"
-	if len(net.Layers) > 0 {
-		if _, ok := net.Layers[0].(*nn.Linear); ok {
-			kind = "flat"
-		}
-	}
-	return ModelSpec{Layers: specs, InputKind: kind}, nil
+	return ModelSpec{Layers: specs, InputKind: inputKind(net)}, nil
 }
 
 func encodeLayers(layers []nn.Layer) ([]LayerSpec, error) {

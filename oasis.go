@@ -55,8 +55,8 @@ type (
 	// Policy produces the augmented counterparts X′_t of an image.
 	Policy = augment.Policy
 	// Defense is the OASIS batch expansion (D → D′, Eq. 7) that
-	// AnalyzeProp1 takes; a federated client takes the registry form,
-	// NewDefensePipeline("oasis:<label>").
+	// AnalyzeProp1 takes; a federated client and TrainCentralized take the
+	// registry form, NewDefensePipeline("oasis:<label>").
 	Defense = core.Defense
 	// Prop1Report quantifies the Proposition-1 condition for a defense.
 	Prop1Report = core.Prop1Report

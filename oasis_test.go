@@ -3,6 +3,7 @@ package oasis
 import (
 	"context"
 	"fmt"
+	rand "math/rand/v2"
 	"strings"
 	"testing"
 )
@@ -156,20 +157,32 @@ func TestFLIntegrationWithDishonestServer(t *testing.T) {
 	}
 }
 
+// TestTrainCentralizedFacade: both model families train centrally — the
+// image-input residual classifier and the flat-input MLP, which gets
+// flattened batches.
 func TestTrainCentralizedFacade(t *testing.T) {
-	ds := NewSynthDataset("train-api", 4, 3, 12, 12, 256, 3)
-	rng := NewRand(3, 3)
-	shards, err := ShardDataset(ds, 2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := NewClassifier(ds, 4, rng)
-	acc, err := TrainCentralized(model, shards[0], shards[1], nil, 3, 16, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc <= 0.25 { // must beat random (4 classes)
-		t.Errorf("accuracy %.2f not above chance", acc)
+	for _, tc := range []struct {
+		name  string
+		model func(Dataset, *rand.Rand) *Model
+	}{
+		{"classifier", func(ds Dataset, rng *rand.Rand) *Model { return NewClassifier(ds, 4, rng) }},
+		{"mlp", func(ds Dataset, rng *rand.Rand) *Model { return NewMLP(ds, 32, rng) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ds := NewSynthDataset("train-api", 4, 3, 12, 12, 256, 3)
+			rng := NewRand(3, 3)
+			shards, err := ShardDataset(ds, 2, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc, err := TrainCentralized(tc.model(ds, rng), shards[0], shards[1], nil, 3, 16, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if acc <= 0.25 { // must beat random (4 classes)
+				t.Errorf("accuracy %.2f not above chance", acc)
+			}
+		})
 	}
 }
 
