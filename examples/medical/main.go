@@ -73,7 +73,7 @@ func run() error {
 		}
 
 		// The dishonest aggregation server plants a CAH trap layer.
-		atk, err := oasis.NewCAHAttack(scans, 300, 16, rng)
+		atk, err := oasis.NewAttack("cah", scans, 300, 16, rng)
 		if err != nil {
 			return err
 		}

@@ -54,8 +54,9 @@ type (
 	MemoryRoster = fl.MemoryRoster
 	// TCPServer is the TCP/gob transport's listener side.
 	TCPServer = fl.TCPServer
-	// Attack is the common interface of every registered reconstruction
-	// attack family (rtf, cah, qbi, loki, …); resolve one with NewAttack.
+	// Attack is a calibrated planted-layer reconstruction attack. Every
+	// registered family (rtf, cah, qbi, loki, …) is this one type with its
+	// own calibration; resolve one with NewAttack.
 	Attack = attack.Attack
 	// AttackConfig parametrizes registry attack calibration (dims, neuron
 	// budget, probe data, anticipated batch).
@@ -181,7 +182,7 @@ func RunSweepWorker(ctx context.Context, cfg SweepWorkerConfig) error {
 // dataset: neurons sizes the planted layer and anticipatedBatch tunes bias
 // placement (0 = default 8). Unknown kinds error with the list of registered
 // families (AttackNames).
-func NewAttack(kind string, ds Dataset, neurons, anticipatedBatch int, rng *rand.Rand) (Attack, error) {
+func NewAttack(kind string, ds Dataset, neurons, anticipatedBatch int, rng *rand.Rand) (*Attack, error) {
 	return attack.New(kind, attack.Config{
 		Dims:    dims(ds),
 		Classes: ds.NumClasses(),
@@ -197,13 +198,13 @@ func AttackNames() []string { return attack.Names() }
 
 // RegisterAttack adds a custom attack family to the registry; it then
 // becomes a valid scenario attack kind and sweep grid row.
-func RegisterAttack(kind string, ctor func(AttackConfig) (Attack, error)) error {
+func RegisterAttack(kind string, ctor func(AttackConfig) (*Attack, error)) error {
 	return attack.Register(kind, ctor)
 }
 
 // NewAttackServer wraps any calibrated registry attack as dishonest-server
 // hooks (assign to FLServer.Modifier and FLServer.Observer).
-func NewAttackServer(a Attack, rng *rand.Rand) (*DishonestServer, error) {
+func NewAttackServer(a *Attack, rng *rand.Rand) (*DishonestServer, error) {
 	return attack.NewAttackServer(a, rng)
 }
 

@@ -180,11 +180,56 @@ func Evaluate(recons []*imaging.Image, originals []*imaging.Image) Evaluation {
 	return ev
 }
 
-// runPlanted executes a planted-layer attack end to end: the victim model is
-// built, client gradients are computed on clientBatch, and the
-// reconstructions are evaluated against originals — the paper's measurement
-// loop shared by every registered attack family.
-func runPlanted(a Attack, clientBatch *data.Batch, originals []*imaging.Image, rng *rand.Rand) (Evaluation, []*imaging.Image, error) {
+// Attack is a calibrated planted-layer attack: the malicious layer (W [n×d],
+// b [n]) a dishonest server plants right after the input, and the inversion
+// that turns the layer's uploaded gradients back into images. Every
+// registered family is this one type; the families differ only in where
+// their calibration places the weights and biases (see the package doc).
+type Attack struct {
+	// Kind is the registry kind ("rtf", "cah", "qbi", "loki", …).
+	Kind string
+	// Classes is the width of the victim's classification head.
+	Classes int
+
+	w, b *tensor.Tensor
+	// inversion supplies the exported Dims, Neurons and Bins fields and
+	// Reconstruct.
+	inversion
+}
+
+// inversion is the gradient arithmetic of one calibrated layer. Neurons come
+// in runs of Bins neurons with ascending thresholds: a sample fires a prefix
+// of every run, so adjacent-bin differences isolate the samples in one bin
+// and the last neuron of a run is the open top bin. Bins = 1 makes every
+// neuron its own top bin, which is the per-neuron Eq. 6.
+type inversion struct {
+	// Dims is the raster geometry of the inputs the layer sees.
+	Dims ImageDims
+	// Neurons is the width n of the planted layer, a multiple of Bins.
+	Neurons int
+	// Bins is the length of each run of ascending-threshold neurons.
+	Bins int
+
+	dedupe bool // drop near-duplicate reconstructions across neurons
+}
+
+// Name returns the registry kind.
+func (a *Attack) Name() string { return a.Kind }
+
+// Layer returns copies of the malicious parameters.
+func (a *Attack) Layer() (w, b *tensor.Tensor) { return a.w.Clone(), a.b.Clone() }
+
+// BuildVictim assembles the full malicious model the server would dispatch.
+func (a *Attack) BuildVictim(rng *rand.Rand) (*Victim, error) {
+	w, b := a.Layer()
+	return NewVictim(a.Dims, a.Classes, w, b, rng)
+}
+
+// Run executes the complete attack against a (possibly defended) batch: the
+// victim model is built, client gradients are computed on clientBatch, and
+// the reconstructions are evaluated against originals — the paper's
+// measurement loop for Figures 3–6.
+func (a *Attack) Run(clientBatch *data.Batch, originals []*imaging.Image, rng *rand.Rand) (Evaluation, []*imaging.Image, error) {
 	victim, err := a.BuildVictim(rng)
 	if err != nil {
 		return Evaluation{}, nil, err
@@ -192,6 +237,73 @@ func runPlanted(a Attack, clientBatch *data.Batch, originals []*imaging.Image, r
 	gw, gb, _ := victim.Gradients(clientBatch)
 	recons := a.Reconstruct(gw, gb)
 	return Evaluate(recons, originals), recons, nil
+}
+
+// Slice derives a smaller attack using the first n neurons. Per-neuron
+// layers (Bins = 1) have i.i.d. rows, so the prefix of a calibrated layer is
+// itself a calibrated layer; neuron-count sweeps (Figure 4) reuse one
+// expensive calibration. Binned layers have no such prefix.
+func (a *Attack) Slice(n int) (*Attack, error) {
+	if a.Bins != 1 {
+		return nil, fmt.Errorf("attack: %s bins %d neurons together and cannot be sliced", a.Kind, a.Bins)
+	}
+	if n < 1 || n > a.Neurons {
+		return nil, fmt.Errorf("attack: %s slice %d outside [1,%d]", a.Kind, n, a.Neurons)
+	}
+	d := a.Dims.Dim()
+	w := tensor.New(n, d)
+	copy(w.Data(), a.w.Data()[:n*d])
+	b := tensor.New(n)
+	copy(b.Data(), a.b.Data()[:n])
+	s := *a
+	s.w, s.b, s.Neurons = w, b, n
+	return &s, nil
+}
+
+// fits reports whether (gw, gb) has exactly the planted layer's shape (and
+// the layer is one Reconstruct can walk).
+func (v inversion) fits(gw, gb *tensor.Tensor) bool {
+	return v.Bins > 0 && gw.Dims() == 2 && gb.Dims() == 1 &&
+		gw.Dim(0) == v.Neurons && gb.Dim(0) == v.Neurons && gw.Dim(1) == v.Dims.Dim()
+}
+
+// Reconstruct inverts the planted layer's uploaded gradients (gw [n×d],
+// gb [n]) into images: within every run of Bins neurons, adjacent-bin
+// differences
+//
+//	x̂ = (∂W_i − ∂W_{i+1}) / (∂b_i − ∂b_{i+1})
+//
+// invert the samples of bin i, and the run's last neuron inverts the open
+// top bin. Each is a verbatim copy when its bin holds a single sample.
+func (v inversion) Reconstruct(gw, gb *tensor.Tensor) []*imaging.Image {
+	if !v.fits(gw, gb) {
+		panic(fmt.Sprintf("attack: gradients %v/%v do not fit %d neurons over %d inputs",
+			gw.Shape(), gb.Shape(), v.Neurons, v.Dims.Dim()))
+	}
+	var out []*imaging.Image
+	gbd := gb.Data()
+	var diff []float64
+	if v.Bins > 1 {
+		diff = make([]float64, v.Dims.Dim())
+	}
+	for top := v.Bins - 1; top < v.Neurons; top += v.Bins {
+		for i := top - v.Bins + 1; i < top; i++ {
+			rowI, rowN := gw.RowView(i), gw.RowView(i+1)
+			for k := range diff {
+				diff[k] = rowI[k] - rowN[k]
+			}
+			if im, ok := ratioReconstruct(diff, gbd[i]-gbd[i+1], v.Dims); ok {
+				out = append(out, im)
+			}
+		}
+		if im, ok := ratioReconstruct(gw.RowView(top), gbd[top], v.Dims); ok {
+			out = append(out, im)
+		}
+	}
+	if v.dedupe {
+		return DedupeReconstructions(out, 1e-8)
+	}
+	return out
 }
 
 // ratioReconstruct converts a (row of ∂W, scalar ∂b) pair into an image when

@@ -56,12 +56,17 @@ func TestRTFThresholdsAscending(t *testing.T) {
 	ds := data.NewSynthCIFAR100(3)
 	c, h, w := ds.Shape()
 	rng := nn.RandSource(3, 1)
-	rtf, err := NewRTF(ImageDims{C: c, H: h, W: w}, 100, 300, ds, rng, 128)
+	rtf, err := newRTF(ImageDims{C: c, H: h, W: w}, 100, 300, ds, rng, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(rtf.Thresholds); i++ {
-		if rtf.Thresholds[i] <= rtf.Thresholds[i-1] {
+	if rtf.Bins != rtf.Neurons {
+		t.Fatalf("RTF bins %d != neurons %d: the layer must be one run of bins", rtf.Bins, rtf.Neurons)
+	}
+	_, b := rtf.Layer()
+	bias := b.Data() // bias_i = −c_i
+	for i := 1; i < len(bias); i++ {
+		if -bias[i] <= -bias[i-1] {
 			t.Fatalf("thresholds not strictly ascending at %d", i)
 		}
 	}
@@ -71,7 +76,7 @@ func TestRTFNeedsTwoNeurons(t *testing.T) {
 	ds := data.NewSynthCIFAR100(3)
 	c, h, w := ds.Shape()
 	rng := nn.RandSource(3, 2)
-	if _, err := NewRTF(ImageDims{C: c, H: h, W: w}, 100, 1, ds, rng, 16); err == nil {
+	if _, err := newRTF(ImageDims{C: c, H: h, W: w}, 100, 1, ds, rng, 16); err == nil {
 		t.Error("single-neuron RTF accepted")
 	}
 }
@@ -83,7 +88,7 @@ func TestRTFReconstructionCountMatchesBatch(t *testing.T) {
 	c, h, w := ds.Shape()
 	dims := ImageDims{C: c, H: h, W: w}
 	rng := nn.RandSource(4, 1)
-	rtf, err := NewRTF(dims, ds.NumClasses(), 400, ds, rng, 256)
+	rtf, err := newRTF(dims, ds.NumClasses(), 400, ds, rng, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +108,33 @@ func TestRTFReconstructionCountMatchesBatch(t *testing.T) {
 func TestCAHSliceValidation(t *testing.T) {
 	ds := data.NewSynthCIFAR100(5)
 	c, h, w := ds.Shape()
+	dims := ImageDims{C: c, H: h, W: w}
 	rng := nn.RandSource(5, 1)
-	cah, err := NewCAH(ImageDims{C: c, H: h, W: w}, 100, 50, ds, rng, 64, 8)
+	cah, err := newCAH(dims, 100, 50, ds, rng, 64, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cah.Slice(0); err == nil {
-		t.Error("slice 0 accepted")
+	binned := func(kind string) *Attack {
+		a, err := New(kind, Config{Dims: dims, Classes: 100, Neurons: 50, Probe: ds, ProbeSize: 64, Rng: rng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
 	}
-	if _, err := cah.Slice(51); err == nil {
-		t.Error("oversize slice accepted")
+	for _, tc := range []struct {
+		name string
+		atk  *Attack
+		n    int
+	}{
+		{"slice 0", cah, 0},
+		{"oversize slice", cah, 51},
+		// Binned layers have no calibrated prefix.
+		{"rtf slice", binned("rtf"), 10},
+		{"loki slice", binned("loki"), 10},
+	} {
+		if _, err := tc.atk.Slice(tc.n); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 	small, err := cah.Slice(10)
 	if err != nil {
@@ -138,10 +160,10 @@ func TestCAHValidation(t *testing.T) {
 	c, h, w := ds.Shape()
 	rng := nn.RandSource(5, 2)
 	dims := ImageDims{C: c, H: h, W: w}
-	if _, err := NewCAH(dims, 100, 0, ds, rng, 64, 8); err == nil {
+	if _, err := newCAH(dims, 100, 0, ds, rng, 64, 8); err == nil {
 		t.Error("0 neurons accepted")
 	}
-	if _, err := NewCAH(dims, 100, 10, ds, rng, 64, 1); err == nil {
+	if _, err := newCAH(dims, 100, 10, ds, rng, 64, 1); err == nil {
 		t.Error("batch 1 accepted")
 	}
 }
@@ -204,7 +226,7 @@ func TestDishonestServerHooks(t *testing.T) {
 	ds := data.NewSynthCustom("hooks", 4, 1, 8, 8, 128, 6)
 	dims := ImageDims{C: 1, H: 8, W: 8}
 	rng := nn.RandSource(6, 1)
-	rtf, err := NewRTF(dims, 4, 100, ds, rng, 64)
+	rtf, err := newRTF(dims, 4, 100, ds, rng, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,23 +262,40 @@ func TestDishonestServerHooks(t *testing.T) {
 }
 
 // TestObserveIgnoresForeignPayloads guards the hook against updates from
-// models that are not the malicious layout.
+// models that are not the malicious layout: uploads come from untrusted
+// peers, and a mis-shaped one must be ignored, never inverted.
 func TestObserveIgnoresForeignPayloads(t *testing.T) {
 	ds := data.NewSynthCustom("foreign", 4, 1, 8, 8, 64, 7)
 	dims := ImageDims{C: 1, H: 8, W: 8}
-	rng := nn.RandSource(7, 1)
-	rtf, err := NewRTF(dims, 4, 50, ds, rng, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hook, err := NewAttackServer(rtf, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hook.Observe(0, fl.Update{Grads: []*tensor.Tensor{tensor.New(3)}})
-	hook.Observe(0, fl.Update{Grads: []*tensor.Tensor{tensor.New(2, 2), tensor.New(3)}})
-	if got := len(hook.Captures()); got != 0 {
-		t.Errorf("foreign payloads produced %d captures", got)
+	for _, kind := range Names() {
+		t.Run(kind, func(t *testing.T) {
+			rng := nn.RandSource(7, 1)
+			atk, err := New(kind, Config{Dims: dims, Classes: 4, Neurons: 50, Probe: ds, ProbeSize: 32, Batch: 4, Rng: rng})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hook, err := NewAttackServer(atk, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, d := atk.Neurons, dims.Dim()
+			for _, grads := range [][]*tensor.Tensor{
+				{tensor.New(3)},
+				{tensor.New(2, 2), tensor.New(3)},
+				{tensor.New(n-1, d), tensor.New(n - 1)},
+				{tensor.New(n, d-1), tensor.New(n)},
+			} {
+				hook.Observe(0, fl.Update{Grads: grads})
+			}
+			if got := len(hook.Captures()); got != 0 {
+				t.Errorf("foreign payloads produced %d captures", got)
+			}
+			// The planted layer's own shape is accepted.
+			hook.Observe(0, fl.Update{Grads: []*tensor.Tensor{tensor.New(n, d), tensor.New(n)}})
+			if got := len(hook.Captures()); got != 1 {
+				t.Errorf("a payload of the planted layer's shape produced %d captures, want 1", got)
+			}
+		})
 	}
 }
 
@@ -307,11 +346,11 @@ func TestImageDimsDim(t *testing.T) {
 	}
 }
 
-func ExampleRTF_Run() {
+func ExampleAttack_Run() {
 	ds := data.NewSynthCIFAR100(42)
 	c, h, w := ds.Shape()
 	rng := nn.RandSource(1, 2)
-	rtf, _ := NewRTF(ImageDims{C: c, H: h, W: w}, ds.NumClasses(), 400, ds, rng, 128)
+	rtf, _ := newRTF(ImageDims{C: c, H: h, W: w}, ds.NumClasses(), 400, ds, rng, 128)
 	batch, _ := data.RandomBatch(ds, rng, 4)
 	ev, _, _ := rtf.Run(batch, batch.Images, rng)
 	fmt.Println(ev.MeanPSNR() > 100) // undefended: essentially verbatim

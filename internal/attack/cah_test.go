@@ -14,9 +14,9 @@ func TestCAHReconstructsWithoutDefense(t *testing.T) {
 	c, h, w := ds.Shape()
 	dims := ImageDims{C: c, H: h, W: w}
 	rng := nn.RandSource(17, 2)
-	cah, err := NewCAH(dims, ds.NumClasses(), 300, ds, rng, 256, 8)
+	cah, err := newCAH(dims, ds.NumClasses(), 300, ds, rng, 256, 8)
 	if err != nil {
-		t.Fatalf("NewCAH: %v", err)
+		t.Fatalf("newCAH: %v", err)
 	}
 	batch := synthBatch(t, ds, 21, 8)
 	ev, recons, err := cah.Run(batch, batch.Images, rng)
@@ -45,9 +45,9 @@ func TestCAHDegradedByMajorRotationPlusShear(t *testing.T) {
 	c, h, w := ds.Shape()
 	dims := ImageDims{C: c, H: h, W: w}
 	rng := nn.RandSource(19, 2)
-	cah, err := NewCAH(dims, ds.NumClasses(), 300, ds, rng, 256, 8)
+	cah, err := newCAH(dims, ds.NumClasses(), 300, ds, rng, 256, 8)
 	if err != nil {
-		t.Fatalf("NewCAH: %v", err)
+		t.Fatalf("newCAH: %v", err)
 	}
 	batch := synthBatch(t, ds, 23, 8)
 

@@ -1,6 +1,9 @@
 // Package attack implements the active reconstruction attacks the paper
-// defends against, behind a common [Attack] interface and a named-constructor
-// [Registry] (mirroring the aggregator/partitioner/sampler dispatch used
+// defends against. Every registered family is one concrete type, [Attack]: a
+// planted malicious layer (W, b) plus one inversion of its gradients. A
+// family is only a calibration — where it places the weights and biases —
+// resolved by kind through the named-constructor registry ([New],
+// [Register]; mirroring the aggregator/partitioner/sampler dispatch used
 // across the repo). The registered families are:
 //
 //   - "rtf" — RTF ("Robbing the Fed", Fowl et al., ICLR 2022; paper
@@ -38,4 +41,14 @@
 // fully-connected layer z = Wx + b, per-neuron gradients are
 // ∂L/∂W_i = Σ_j g_ij·x_j and ∂L/∂b_i = Σ_j g_ij, so whenever one sample's
 // contribution can be isolated, x̂ = (∂L/∂b_i)⁻¹·∂L/∂W_i is a verbatim copy.
+//
+// The one inversion walks the layer in runs of Attack.Bins neurons with
+// ascending thresholds: it differences adjacent bins and inverts each run's
+// open top bin. The calibrations set Bins as follows:
+//
+//   - rtf: Bins = n, one run over the whole layer, no de-duplication;
+//   - loki: Bins = the per-group bin count, de-duplicated across groups;
+//   - cah and qbi: Bins = 1, so every neuron is its own top bin — the
+//     per-neuron Eq. 6 — de-duplicated because one sample often trips
+//     several traps. Only these layers can be [Attack.Slice]d.
 package attack

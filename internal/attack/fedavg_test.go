@@ -23,7 +23,7 @@ func TestRTFExtendsToFedAvgPseudoGradients(t *testing.T) {
 	c, h, w := ds.Shape()
 	dims := ImageDims{C: c, H: h, W: w}
 	rng := nn.RandSource(40, 1)
-	rtf, err := NewRTF(dims, ds.NumClasses(), 400, ds, rng, 256)
+	rtf, err := newRTF(dims, ds.NumClasses(), 400, ds, rng, 256)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,18 +7,6 @@ import (
 
 	"github.com/oasisfl/oasis/internal/fl"
 	"github.com/oasisfl/oasis/internal/imaging"
-	"github.com/oasisfl/oasis/internal/tensor"
-)
-
-// Reconstructor inverts malicious-layer gradients into images. Both RTF and
-// CAH satisfy this.
-type Reconstructor interface {
-	Reconstruct(gw, gb *tensor.Tensor) []*imaging.Image
-}
-
-var (
-	_ Reconstructor = (*RTF)(nil)
-	_ Reconstructor = (*CAH)(nil)
 )
 
 // Capture is one reconstruction event: what the dishonest server recovered
@@ -41,7 +29,7 @@ type Capture struct {
 type DishonestServer struct {
 	label string
 	spec  fl.ModelSpec
-	recon Reconstructor
+	inv   inversion
 
 	mu       sync.Mutex
 	captures []Capture
@@ -52,25 +40,20 @@ var (
 	_ fl.UpdateObserver = (*DishonestServer)(nil)
 )
 
-// NewDishonestServer wraps a calibrated attack (its victim model and its
-// reconstructor) as FL server hooks.
-func NewDishonestServer(label string, victim *Victim, recon Reconstructor) (*DishonestServer, error) {
+// NewAttackServer builds the dishonest-server hooks for a calibrated
+// attack: one victim model is encoded up front and dispatched on every round
+// the hooks are active. The victim is encoded straight from the attack's own
+// layer (it is never trained), and the hooks keep only the inversion.
+func NewAttackServer(a *Attack, rng *rand.Rand) (*DishonestServer, error) {
+	victim, err := NewVictim(a.Dims, a.Classes, a.w, a.b, rng)
+	if err != nil {
+		return nil, err
+	}
 	spec, err := fl.EncodeModel(victim.Net)
 	if err != nil {
 		return nil, fmt.Errorf("attack: encode malicious model: %w", err)
 	}
-	return &DishonestServer{label: label, spec: spec, recon: recon}, nil
-}
-
-// NewAttackServer builds the dishonest-server hooks for any calibrated
-// registry attack: one victim model is built up front and dispatched on
-// every round the hooks are active.
-func NewAttackServer(a Attack, rng *rand.Rand) (*DishonestServer, error) {
-	victim, err := a.BuildVictim(rng)
-	if err != nil {
-		return nil, err
-	}
-	return NewDishonestServer(a.Name(), victim, a)
+	return &DishonestServer{label: a.Kind, spec: spec, inv: a.inversion}, nil
 }
 
 // Modify discards the honest global model and dispatches the malicious one —
@@ -83,16 +66,14 @@ func (d *DishonestServer) Modify(_ int, _ fl.ModelSpec) (fl.ModelSpec, error) {
 func (d *DishonestServer) Name() string { return "dishonest-" + d.label }
 
 // Observe inverts one client's uploaded gradients. The victim model's
-// parameter order puts the malicious layer's weight and bias first.
+// parameter order puts the malicious layer's weight and bias first. Uploads
+// come from untrusted peers, so anything not shaped exactly like the planted
+// layer is ignored.
 func (d *DishonestServer) Observe(round int, u fl.Update) {
-	if len(u.Grads) < 2 {
+	if len(u.Grads) < 2 || !d.inv.fits(u.Grads[0], u.Grads[1]) {
 		return
 	}
-	gw, gb := u.Grads[0], u.Grads[1]
-	if gw.Dims() != 2 || gb.Dims() != 1 || gw.Dim(0) != gb.Dim(0) {
-		return // client returned something that is not our malicious layout
-	}
-	recons := d.recon.Reconstruct(gw, gb)
+	recons := d.inv.Reconstruct(u.Grads[0], u.Grads[1])
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.captures = append(d.captures, Capture{

@@ -25,7 +25,7 @@ func TestRTFSingleImageExactnessProperty(t *testing.T) {
 	dims := ImageDims{C: 1, H: 8, W: 8}
 	err := quick.Check(func(seed uint64) bool {
 		rng := nn.RandSource(seed, 77)
-		rtf, err := NewRTF(dims, ds.NumClasses(), 64, ds, rng, 64)
+		rtf, err := newRTF(dims, ds.NumClasses(), 64, ds, rng, 64)
 		if err != nil {
 			return false
 		}
@@ -58,7 +58,7 @@ func TestCAHSoloActivationExactnessProperty(t *testing.T) {
 	dims := ImageDims{C: 1, H: 8, W: 8}
 	err := quick.Check(func(seed uint64) bool {
 		rng := nn.RandSource(seed, 78)
-		cah, err := NewCAH(dims, ds.NumClasses(), 64, ds, rng, 64, 4)
+		cah, err := newCAH(dims, ds.NumClasses(), 64, ds, rng, 64, 4)
 		if err != nil {
 			return false
 		}
@@ -90,7 +90,7 @@ func TestGradientSumProperty(t *testing.T) {
 	dims := ImageDims{C: 1, H: 6, W: 6}
 	err := quick.Check(func(seed uint64) bool {
 		rng := nn.RandSource(seed, 79)
-		rtf, err := NewRTF(dims, ds.NumClasses(), 16, ds, rng, 32)
+		rtf, err := newRTF(dims, ds.NumClasses(), 16, ds, rng, 32)
 		if err != nil {
 			return false
 		}

@@ -14,7 +14,7 @@ func TestQBIActivationRate(t *testing.T) {
 	ds := data.NewSynthCustom("qbi-rate", 4, 1, 8, 8, 512, 21)
 	rng := nn.RandSource(21, 1)
 	const batch = 8
-	qbi, err := NewQBI(ImageDims{C: 1, H: 8, W: 8}, 4, 128, ds, rng, 256, batch)
+	qbi, err := newQBI(ImageDims{C: 1, H: 8, W: 8}, 4, 128, ds, rng, 256, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,10 @@ func TestQBIValidation(t *testing.T) {
 	ds := data.NewSynthCustom("qbi-bad", 4, 1, 8, 8, 64, 22)
 	rng := nn.RandSource(22, 1)
 	dims := ImageDims{C: 1, H: 8, W: 8}
-	if _, err := NewQBI(dims, 4, 0, ds, rng, 64, 8); err == nil {
+	if _, err := newQBI(dims, 4, 0, ds, rng, 64, 8); err == nil {
 		t.Error("0 neurons accepted")
 	}
-	if _, err := NewQBI(dims, 4, 10, ds, rng, 64, 1); err == nil {
+	if _, err := newQBI(dims, 4, 10, ds, rng, 64, 1); err == nil {
 		t.Error("batch 1 accepted")
 	}
 }
@@ -78,18 +78,19 @@ func TestProbitUpper(t *testing.T) {
 func TestLOKIGroupStructure(t *testing.T) {
 	ds := data.NewSynthCustom("loki-groups", 4, 1, 8, 8, 256, 23)
 	rng := nn.RandSource(23, 1)
-	loki, err := NewLOKI(ImageDims{C: 1, H: 8, W: 8}, 4, 64, ds, rng, 128, DefaultLOKIScale)
+	loki, err := newLOKI(ImageDims{C: 1, H: 8, W: 8}, 4, 64, ds, rng, 128, DefaultLOKIScale)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loki.Groups*loki.Bins != loki.Neurons {
-		t.Fatalf("groups %d × bins %d != neurons %d", loki.Groups, loki.Bins, loki.Neurons)
+	groups := loki.Neurons / loki.Bins
+	if groups*loki.Bins != loki.Neurons {
+		t.Fatalf("groups %d × bins %d != neurons %d", groups, loki.Bins, loki.Neurons)
 	}
-	if loki.Groups < 2 {
-		t.Fatalf("64 neurons should split into several kernels, got %d", loki.Groups)
+	if groups < 2 {
+		t.Fatalf("64 neurons should split into several kernels, got %d", groups)
 	}
 	w, b := loki.Layer()
-	for g := 0; g < loki.Groups; g++ {
+	for g := 0; g < groups; g++ {
 		base := g * loki.Bins
 		// Thresholds (−bias) strictly ascend within the group.
 		for i := 1; i < loki.Bins; i++ {
@@ -132,7 +133,7 @@ func TestLOKISeparatesBrightnessCollisions(t *testing.T) {
 	batch.Append(imA, 0)
 	batch.Append(imB, 1)
 
-	loki, err := NewLOKI(dims, ds.NumClasses(), 96, ds, rng, 256, DefaultLOKIScale)
+	loki, err := newLOKI(dims, ds.NumClasses(), 96, ds, rng, 256, DefaultLOKIScale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +158,10 @@ func TestLOKIValidation(t *testing.T) {
 	ds := data.NewSynthCustom("loki-bad", 4, 1, 8, 8, 64, 25)
 	rng := nn.RandSource(25, 1)
 	dims := ImageDims{C: 1, H: 8, W: 8}
-	if _, err := NewLOKI(dims, 4, 1, ds, rng, 64, DefaultLOKIScale); err == nil {
+	if _, err := newLOKI(dims, 4, 1, ds, rng, 64, DefaultLOKIScale); err == nil {
 		t.Error("single neuron accepted")
 	}
-	if _, err := NewLOKI(dims, 4, 32, ds, rng, 64, 0); err == nil {
+	if _, err := newLOKI(dims, 4, 32, ds, rng, 64, 0); err == nil {
 		t.Error("zero scale accepted")
 	}
 }

@@ -8,31 +8,6 @@ import (
 	"sync"
 
 	"github.com/oasisfl/oasis/internal/data"
-	"github.com/oasisfl/oasis/internal/imaging"
-	"github.com/oasisfl/oasis/internal/tensor"
-)
-
-// Attack is the common contract every registered reconstruction attack
-// implements: it can build the malicious victim model a dishonest server
-// dispatches, invert an uploaded (∂W, ∂b) pair of the planted layer, and run
-// the complete measurement loop against a batch.
-type Attack interface {
-	// Name returns the registry kind ("rtf", "cah", "qbi", "loki", …).
-	Name() string
-	// BuildVictim assembles the malicious model around the planted layer.
-	BuildVictim(rng *rand.Rand) (*Victim, error)
-	// Reconstruct inverts the planted layer's uploaded gradients into images.
-	Reconstruct(gw, gb *tensor.Tensor) []*imaging.Image
-	// Run executes the complete attack against a (possibly defended) batch
-	// and evaluates the reconstructions against the original images.
-	Run(clientBatch *data.Batch, originals []*imaging.Image, rng *rand.Rand) (Evaluation, []*imaging.Image, error)
-}
-
-var (
-	_ Attack = (*RTF)(nil)
-	_ Attack = (*CAH)(nil)
-	_ Attack = (*QBI)(nil)
-	_ Attack = (*LOKI)(nil)
 )
 
 // Config carries everything a registered constructor may need to calibrate
@@ -68,7 +43,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Constructor calibrates one attack family from a resolved Config.
-type Constructor func(cfg Config) (Attack, error)
+type Constructor func(cfg Config) (*Attack, error)
 
 // registry maps attack kinds to their constructors, guarded by registryMu
 // so Register is safe against concurrent New/Names/Known lookups (scenario
@@ -78,17 +53,17 @@ type Constructor func(cfg Config) (Attack, error)
 var registryMu sync.RWMutex
 
 var registry = map[string]Constructor{
-	"rtf": func(cfg Config) (Attack, error) {
-		return NewRTF(cfg.Dims, cfg.Classes, cfg.Neurons, cfg.Probe, cfg.Rng, cfg.ProbeSize)
+	"rtf": func(cfg Config) (*Attack, error) {
+		return newRTF(cfg.Dims, cfg.Classes, cfg.Neurons, cfg.Probe, cfg.Rng, cfg.ProbeSize)
 	},
-	"cah": func(cfg Config) (Attack, error) {
-		return NewCAH(cfg.Dims, cfg.Classes, cfg.Neurons, cfg.Probe, cfg.Rng, cfg.ProbeSize, cfg.Batch)
+	"cah": func(cfg Config) (*Attack, error) {
+		return newCAH(cfg.Dims, cfg.Classes, cfg.Neurons, cfg.Probe, cfg.Rng, cfg.ProbeSize, cfg.Batch)
 	},
-	"qbi": func(cfg Config) (Attack, error) {
-		return NewQBI(cfg.Dims, cfg.Classes, cfg.Neurons, cfg.Probe, cfg.Rng, cfg.ProbeSize, cfg.Batch)
+	"qbi": func(cfg Config) (*Attack, error) {
+		return newQBI(cfg.Dims, cfg.Classes, cfg.Neurons, cfg.Probe, cfg.Rng, cfg.ProbeSize, cfg.Batch)
 	},
-	"loki": func(cfg Config) (Attack, error) {
-		return NewLOKI(cfg.Dims, cfg.Classes, cfg.Neurons, cfg.Probe, cfg.Rng, cfg.ProbeSize, DefaultLOKIScale)
+	"loki": func(cfg Config) (*Attack, error) {
+		return newLOKI(cfg.Dims, cfg.Classes, cfg.Neurons, cfg.Probe, cfg.Rng, cfg.ProbeSize, DefaultLOKIScale)
 	},
 }
 
@@ -129,7 +104,7 @@ func Known(kind string) bool {
 
 // New calibrates the named attack. Unknown kinds error with the full list of
 // registered families, so validation messages never go stale.
-func New(kind string, cfg Config) (Attack, error) {
+func New(kind string, cfg Config) (*Attack, error) {
 	registryMu.RLock()
 	ctor, ok := registry[kind]
 	registryMu.RUnlock()

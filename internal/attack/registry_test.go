@@ -1,20 +1,35 @@
 package attack
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"github.com/oasisfl/oasis/internal/data"
+	"github.com/oasisfl/oasis/internal/defense"
 	"github.com/oasisfl/oasis/internal/nn"
 )
 
 // TestRegistryEveryKindRuns is the registry's contract test: every
 // registered name constructs from one shared Config, builds a victim, and
 // Run returns a sane Evaluation against an undefended batch (several
-// reconstructions, near-verbatim quality).
+// reconstructions, near-verbatim quality). It also pins, per kind, the
+// reconstruction count and the exact mean PSNR on the undefended batch and
+// on its oasis:MR expansion, so a change to any calibration or to the shared
+// inversion shows up here.
 func TestRegistryEveryKindRuns(t *testing.T) {
 	ds := data.NewSynthCustom("registry", 4, 1, 8, 8, 240, 11)
+	type pin struct {
+		recons   int
+		meanPSNR string // %.17g
+	}
+	want := map[string][2]pin{ // undefended, oasis:MR
+		"cah":  {{10, "72.054186893587342"}, {42, "17.293055909012221"}},
+		"loki": {{8, "87.197821499507853"}, {24, "19.019035122320847"}},
+		"qbi":  {{9, "78.465247761936212"}, {46, "17.447837667106477"}},
+		"rtf":  {{4, "150"}, {4, "21.117829372632297"}},
+	}
 	for _, kind := range Names() {
 		t.Run(kind, func(t *testing.T) {
 			rng := nn.RandSource(11, 1)
@@ -65,6 +80,25 @@ func TestRegistryEveryKindRuns(t *testing.T) {
 			if ev.MaxPSNR() < 40 {
 				t.Errorf("undefended max PSNR %.1f dB; expected a near-verbatim reconstruction", ev.MaxPSNR())
 			}
+			mr, err := defense.New("oasis:MR", defense.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			evMR, _, err := atk.Run(mr.ApplyBatch(batch), batch.Images, rng)
+			if err != nil {
+				t.Fatalf("Run under oasis:MR: %v", err)
+			}
+			pins, ok := want[kind]
+			if !ok {
+				t.Fatalf("no pinned values for kind %q", kind)
+			}
+			for i, ev := range []Evaluation{ev, evMR} {
+				got := pin{ev.NumReconstructions, fmt.Sprintf("%.17g", ev.MeanPSNR())}
+				if got != pins[i] {
+					t.Errorf("%s batch: got %d reconstructions at mean PSNR %s, want %d at %s",
+						[]string{"undefended", "oasis:MR"}[i], got.recons, got.meanPSNR, pins[i].recons, pins[i].meanPSNR)
+				}
+			}
 		})
 	}
 }
@@ -105,10 +139,10 @@ func TestRegistryNames(t *testing.T) {
 
 // TestRegisterRejectsBadRegistrations guards against shadowing built-ins.
 func TestRegisterRejectsBadRegistrations(t *testing.T) {
-	if err := Register("rtf", func(Config) (Attack, error) { return nil, nil }); err == nil {
+	if err := Register("rtf", func(Config) (*Attack, error) { return nil, nil }); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	if err := Register("", func(Config) (Attack, error) { return nil, nil }); err == nil {
+	if err := Register("", func(Config) (*Attack, error) { return nil, nil }); err == nil {
 		t.Error("empty kind accepted")
 	}
 	if err := Register("x", nil); err == nil {

@@ -24,9 +24,9 @@ func TestRTFPerfectReconstructionWithoutDefense(t *testing.T) {
 	c, h, w := ds.Shape()
 	dims := ImageDims{C: c, H: h, W: w}
 	rng := nn.RandSource(11, 2)
-	rtf, err := NewRTF(dims, ds.NumClasses(), 500, ds, rng, 256)
+	rtf, err := newRTF(dims, ds.NumClasses(), 500, ds, rng, 256)
 	if err != nil {
-		t.Fatalf("NewRTF: %v", err)
+		t.Fatalf("newRTF: %v", err)
 	}
 	batch := synthBatch(t, ds, 3, 8)
 	ev, recons, err := rtf.Run(batch, batch.Images, rng)
@@ -57,9 +57,9 @@ func TestRTFDefeatedByMajorRotation(t *testing.T) {
 	c, h, w := ds.Shape()
 	dims := ImageDims{C: c, H: h, W: w}
 	rng := nn.RandSource(13, 2)
-	rtf, err := NewRTF(dims, ds.NumClasses(), 500, ds, rng, 256)
+	rtf, err := newRTF(dims, ds.NumClasses(), 500, ds, rng, 256)
 	if err != nil {
-		t.Fatalf("NewRTF: %v", err)
+		t.Fatalf("newRTF: %v", err)
 	}
 	batch := synthBatch(t, ds, 5, 8)
 	defended, err := core.New(augment.MajorRotation{}).Apply(batch)

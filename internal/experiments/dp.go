@@ -34,8 +34,6 @@ import (
 // and zero accuracy cost (Table I).
 func DPTradeoff(cfg Config) (*Result, error) {
 	ds := data.NewSynthCustom("synth-dp", 10, 3, 24, 24, 2048, cfg.Seed)
-	c, h, w := ds.Shape()
-	dims := attack.ImageDims{C: c, H: h, W: w}
 	sigmas := []float64{0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1}
 	neurons, trials := 300, 3
 	trainN, testN, epochs := 240, 120, 6
@@ -45,18 +43,18 @@ func DPTradeoff(cfg Config) (*Result, error) {
 		trainN, testN, epochs = 120, 48, 4
 	}
 	rng := nn.RandSource(cfg.Seed^0xd9, 1)
-	rtf, err := attack.NewRTF(dims, ds.NumClasses(), neurons, ds, rng, 128)
+	rtf, err := newAttack("rtf", ds, neurons, 128, 0, rng)
 	if err != nil {
 		return nil, err
 	}
 	malW, malB := rtf.Layer()
-	plain, err := attack.NewVictimGain(dims, ds.NumClasses(), malW, malB, rng, 1)
+	plain, err := attack.NewVictimGain(rtf.Dims, ds.NumClasses(), malW, malB, rng, 1)
 	if err != nil {
 		return nil, err
 	}
 	// Each victim owns its malicious layer's parameters; give the second
 	// one its own copies.
-	amplified, err := attack.NewVictimGain(dims, ds.NumClasses(), malW.Clone(), malB.Clone(), rng, 64)
+	amplified, err := attack.NewVictimGain(rtf.Dims, ds.NumClasses(), malW.Clone(), malB.Clone(), rng, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +104,7 @@ func DPTradeoff(cfg Config) (*Result, error) {
 // bin difference nonzero, flooding the output with garbage images an
 // attacker trivially discards; best-per-original is what the victim cares
 // about.)
-func dpAttackPSNR(ds data.Dataset, rtf *attack.RTF, victim *attack.Victim, clip, sigma float64, trials int, rng *rand.Rand) (float64, error) {
+func dpAttackPSNR(ds data.Dataset, rtf *attack.Attack, victim *attack.Victim, clip, sigma float64, trials int, rng *rand.Rand) (float64, error) {
 	var best []float64
 	for tr := 0; tr < trials; tr++ {
 		batch, err := data.RandomBatch(ds, rng, 8)

@@ -14,6 +14,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	rand "math/rand/v2"
 	"os"
 	"path/filepath"
 
@@ -132,8 +133,7 @@ func IDs() []string {
 // evalSet lists the two evaluation datasets with the attack hyperparameters
 // the paper pins per dataset.
 type evalSet struct {
-	ds   data.Dataset
-	dims attack.ImageDims
+	ds data.Dataset
 	// (B, n) pairs for Fig 5 (RTF) and Fig 6 (CAH), from the paper.
 	rtfPairs [][2]int
 	cahPairs [][2]int
@@ -142,18 +142,14 @@ type evalSet struct {
 func datasets(cfg Config) []evalSet {
 	imnet := data.NewSynthImageNet(cfg.Seed)
 	cifar := data.NewSynthCIFAR100(cfg.Seed)
-	mk := func(ds data.Dataset) attack.ImageDims {
-		c, h, w := ds.Shape()
-		return attack.ImageDims{C: c, H: h, W: w}
-	}
 	sets := []evalSet{
 		{
-			ds: imnet, dims: mk(imnet),
+			ds:       imnet,
 			rtfPairs: [][2]int{{8, 900}, {64, 800}},
 			cahPairs: [][2]int{{8, 100}, {64, 700}},
 		},
 		{
-			ds: cifar, dims: mk(cifar),
+			ds:       cifar,
 			rtfPairs: [][2]int{{8, 500}, {64, 600}},
 			cahPairs: [][2]int{{8, 300}, {64, 600}},
 		},
@@ -166,6 +162,22 @@ func datasets(cfg Config) []evalSet {
 		sets[1].cahPairs = [][2]int{{8, 150}}
 	}
 	return sets
+}
+
+// imageDims is the raster geometry of a dataset's samples.
+func imageDims(ds data.Dataset) attack.ImageDims {
+	c, h, w := ds.Shape()
+	return attack.ImageDims{C: c, H: h, W: w}
+}
+
+// newAttack calibrates a registered attack kind against ds, reading at most
+// probe samples; batch is the anticipated batch size (0 = the registry
+// default, which rtf ignores).
+func newAttack(kind string, ds data.Dataset, neurons, probe, batch int, rng *rand.Rand) (*attack.Attack, error) {
+	return attack.New(kind, attack.Config{
+		Dims: imageDims(ds), Classes: ds.NumClasses(), Neurons: neurons,
+		Probe: ds, ProbeSize: probe, Batch: batch, Rng: rng,
+	})
 }
 
 // policyPSNRStats pools PSNR samples per policy and renders box-plot rows.

@@ -29,9 +29,7 @@ func Fig13(cfg Config) (*Result, error) {
 	res := &Result{ID: "fig13"}
 	t := metrics.NewTable("Figure 13: PSNR of linear-model gradient inversion per transformation", psnrBoxHeader...)
 	for _, ds := range []data.Dataset{imnet, cifar} {
-		c, h, w := ds.Shape()
-		dims := attack.ImageDims{C: c, H: h, W: w}
-		atk := attack.NewLinearInversion(dims, ds.NumClasses())
+		atk := attack.NewLinearInversion(imageDims(ds), ds.NumClasses())
 		for _, b := range batchSizes {
 			stats := newPolicyPSNRStats()
 			for _, polName := range fig5Policies {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"path/filepath"
 
-	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/augment"
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/defense"
@@ -21,15 +20,13 @@ import (
 // the attacker extracts) under ATS vs OASIS.
 func Fig14(cfg Config) (*Result, error) {
 	ds := data.NewSynthImageNet(cfg.Seed)
-	c, h, w := ds.Shape()
-	dims := attack.ImageDims{C: c, H: h, W: w}
 	b, n := 8, 400
 	trials := 3
 	if cfg.Quick {
 		n, trials = 150, 1
 	}
 	rng := nn.RandSource(cfg.Seed^0xf16_14, 1)
-	rtf, err := attack.NewRTF(dims, ds.NumClasses(), n, ds, rng, 128)
+	rtf, err := newAttack("rtf", ds, n, 128, 0, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/augment"
 	"github.com/oasisfl/oasis/internal/core"
 	"github.com/oasisfl/oasis/internal/data"
@@ -19,11 +18,9 @@ import (
 // magnitude lower in dB).
 func Fig2(cfg Config) (*Result, error) {
 	ds := data.NewSynthImageNet(cfg.Seed)
-	c, h, w := ds.Shape()
-	dims := attack.ImageDims{C: c, H: h, W: w}
 	rng := nn.RandSource(cfg.Seed^0xf16_2, 1)
 
-	rtf, err := attack.NewRTF(dims, ds.NumClasses(), 300, ds, rng, 128)
+	rtf, err := newAttack("rtf", ds, 300, 128, 0, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/data"
-	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/metrics"
 	"github.com/oasisfl/oasis/internal/nn"
 )
@@ -27,16 +26,12 @@ func gridSizes(cfg Config) (batches, neurons []int, trials int) {
 
 // Fig3 sweeps the RTF attack.
 func Fig3(cfg Config) (*Result, error) {
-	return gridExperiment(cfg, "fig3", "RTF", func(set evalSet, n int, rng *rand.Rand) (gridAttack, error) {
+	return gridExperiment(cfg, "fig3", "RTF", func(set evalSet, n int, rng *rand.Rand) (*attack.Attack, error) {
 		probeSize := 256
 		if cfg.Quick {
 			probeSize = 64
 		}
-		rtf, err := attack.NewRTF(set.dims, set.ds.NumClasses(), n, set.ds, rng, probeSize)
-		if err != nil {
-			return nil, err
-		}
-		return rtf, nil
+		return newAttack("rtf", set.ds, n, probeSize, 0, rng)
 	})
 }
 
@@ -61,7 +56,7 @@ func Fig4(cfg Config) (*Result, error) {
 			fmt.Sprintf("Figure 4 (%s): CAH avg PSNR, rows = batch size, cols = attacked neurons", set.ds.Name()),
 			append([]string{"B\\n"}, intHeaders(neurons)...)...)
 		calRng := nn.RandSource(cfg.Seed^0xf16_4, hashLabel(set.ds.Name()))
-		base, err := attack.NewCAH(set.dims, set.ds.NumClasses(), maxN, set.ds, calRng, probeSize, cahAnticipatedBatch)
+		base, err := newAttack("cah", set.ds, maxN, probeSize, cahAnticipatedBatch, calRng)
 		if err != nil {
 			return nil, err
 		}
@@ -90,12 +85,7 @@ func Fig4(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// gridAttack is the common surface of RTF and CAH used by the sweep.
-type gridAttack interface {
-	Run(clientBatch *data.Batch, originals []*imaging.Image, rng *rand.Rand) (attack.Evaluation, []*imaging.Image, error)
-}
-
-func gridExperiment(cfg Config, id, label string, build func(set evalSet, n int, rng *rand.Rand) (gridAttack, error)) (*Result, error) {
+func gridExperiment(cfg Config, id, label string, build func(set evalSet, n int, rng *rand.Rand) (*attack.Attack, error)) (*Result, error) {
 	batches, neurons, trials := gridSizes(cfg)
 	res := &Result{ID: id}
 	for _, set := range datasets(cfg) {
@@ -128,7 +118,7 @@ func gridExperiment(cfg Config, id, label string, build func(set evalSet, n int,
 }
 
 // gridCell measures the mean PSNR of undefended reconstructions over trials.
-func gridCell(set evalSet, atk gridAttack, batchSize, trials int, rng *rand.Rand) (float64, error) {
+func gridCell(set evalSet, atk *attack.Attack, batchSize, trials int, rng *rand.Rand) (float64, error) {
 	total, count := 0.0, 0
 	for tr := 0; tr < trials; tr++ {
 		batch, err := data.RandomBatch(set.ds, rng, batchSize)

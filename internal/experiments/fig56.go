@@ -47,7 +47,7 @@ func transformExperiment(cfg Config, id string, policies []string, useCAH bool) 
 		if useCAH {
 			pairs = set.cahPairs
 		}
-		if !cfg.Quick && set.dims.Dim() > 10000 {
+		if !cfg.Quick && imageDims(set.ds).Dim() > 10000 {
 			trials = 2 // the 64×64 set is ~4× the work per sample
 		}
 		for _, pair := range pairs {
@@ -55,7 +55,7 @@ func transformExperiment(cfg Config, id string, policies []string, useCAH bool) 
 			stats := newPolicyPSNRStats()
 			for _, polName := range policies {
 				rng := nn.RandSource(cfg.Seed^hashLabel(id+polName), uint64(b*10000+n))
-				atk, err := buildAttack(set, n, b, useCAH, probe, rng)
+				atk, err := buildAttack(set.ds, n, useCAH, probe, rng)
 				if err != nil {
 					return nil, err
 				}
@@ -96,11 +96,11 @@ func figTitle(id string, useCAH bool) string {
 // buildAttack constructs the calibrated attack for one table cell. CAH traps
 // are calibrated for the attacker's fixed anticipated batch regardless of
 // the victim's true batch size (see cahAnticipatedBatch).
-func buildAttack(set evalSet, n, _ int, useCAH bool, probe int, rng *rand.Rand) (gridAttack, error) {
+func buildAttack(ds data.Dataset, n int, useCAH bool, probe int, rng *rand.Rand) (*attack.Attack, error) {
 	if useCAH {
-		return attack.NewCAH(set.dims, set.ds.NumClasses(), n, set.ds, rng, probe, cahAnticipatedBatch)
+		return newAttack("cah", ds, n, probe, cahAnticipatedBatch, rng)
 	}
-	return attack.NewRTF(set.dims, set.ds.NumClasses(), n, set.ds, rng, probe)
+	return newAttack("rtf", ds, n, probe, 0, rng)
 }
 
 // applyPolicy expands the batch under the named OASIS policy ("WO" passes

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/augment"
 	"github.com/oasisfl/oasis/internal/core"
 	"github.com/oasisfl/oasis/internal/data"
@@ -28,14 +27,12 @@ import (
 // and are unaffected; they are included as controls.
 func PreserveMean(cfg Config) (*Result, error) {
 	ds := data.NewSynthCIFAR100(cfg.Seed)
-	c, h, w := ds.Shape()
-	dims := attack.ImageDims{C: c, H: h, W: w}
 	b, n, trials := 8, 400, 3
 	if cfg.Quick {
 		n, trials = 150, 1
 	}
 	rng := nn.RandSource(cfg.Seed^0x9e4e, 1)
-	rtf, err := attack.NewRTF(dims, ds.NumClasses(), n, ds, rng, 256)
+	rtf, err := newAttack("rtf", ds, n, 256, 0, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/augment"
 	"github.com/oasisfl/oasis/internal/core"
 	"github.com/oasisfl/oasis/internal/data"
@@ -28,8 +27,6 @@ import (
 // push solo down.
 func Prop1(cfg Config) (*Result, error) {
 	ds := data.NewSynthCIFAR100(cfg.Seed)
-	c, h, w := ds.Shape()
-	dims := attack.ImageDims{C: c, H: h, W: w}
 	batchSize := 8
 	rtfNeurons, cahNeurons, probe, trials := 400, 300, 128, 3
 	if cfg.Quick {
@@ -38,11 +35,11 @@ func Prop1(cfg Config) (*Result, error) {
 	policies := []string{"WO", "MR", "mR", "SH", "HFlip", "VFlip", "MR+SH"}
 
 	rng := nn.RandSource(cfg.Seed^0x9601, 1)
-	rtf, err := attack.NewRTF(dims, ds.NumClasses(), rtfNeurons, ds, rng, probe)
+	rtf, err := newAttack("rtf", ds, rtfNeurons, probe, 0, rng)
 	if err != nil {
 		return nil, err
 	}
-	cah, err := attack.NewCAH(dims, ds.NumClasses(), cahNeurons, ds, rng, probe, batchSize)
+	cah, err := newAttack("cah", ds, cahNeurons, probe, batchSize, rng)
 	if err != nil {
 		return nil, err
 	}

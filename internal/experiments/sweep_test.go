@@ -329,7 +329,7 @@ var sweepTestFlakyOn atomic.Bool
 // count recorded, byte-identically to a serial (CellWorkers=1) run.
 func TestSweepDrainsPartialCellReplicates(t *testing.T) {
 	if !attack.Known("sweep-test-flaky") {
-		err := attack.Register("sweep-test-flaky", func(cfg attack.Config) (attack.Attack, error) {
+		err := attack.Register("sweep-test-flaky", func(cfg attack.Config) (*attack.Attack, error) {
 			if sweepTestFlakyOn.Load() && cfg.Rng.Uint64()%2 == 1 {
 				return nil, errors.New("intentional flaky calibration failure")
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"github.com/oasisfl/oasis/internal/attack"
 	"github.com/oasisfl/oasis/internal/data"
 	"github.com/oasisfl/oasis/internal/imaging"
 	"github.com/oasisfl/oasis/internal/metrics"
@@ -17,8 +16,6 @@ import (
 // VFlip; Figure 12 uses the CAH attack with MR+SH.
 func Visual(cfg Config) (*Result, error) {
 	ds := data.NewSynthImageNet(cfg.Seed)
-	c, h, w := ds.Shape()
-	dims := attack.ImageDims{C: c, H: h, W: w}
 	numImages := 4
 	neurons := 400
 	if cfg.Quick {
@@ -42,7 +39,7 @@ func Visual(cfg Config) (*Result, error) {
 	t := metrics.NewTable("Figures 7-12: visual reconstructions", "figure", "attack", "policy", "mean_psnr_dB", "artifact")
 	for _, f := range figures {
 		rng := nn.RandSource(cfg.Seed^hashLabel(f.fig), 5)
-		atk, err := buildAttack(evalSet{ds: ds, dims: dims}, neurons, numImages, f.useCAH, 128, rng)
+		atk, err := buildAttack(ds, neurons, f.useCAH, 128, rng)
 		if err != nil {
 			return nil, err
 		}

@@ -280,13 +280,15 @@ func FuzzScenarioDecode(f *testing.F) {
 	})
 }
 
-// FuzzSpecStrings hardens the three spec-string parsers a scenario carries
-// (partition, defense pipeline, aggregator). Each string goes to all three;
-// every parser must either error with a nil value, or return a value that
-// runs on a tiny fixed input without panicking. Partitions must also keep
-// the Partitioner contract: disjoint, covering, non-empty shards. The
-// committed corpus in testdata/fuzz/FuzzSpecStrings holds the NaN/Inf
-// parameters that once slipped through.
+// FuzzSpecStrings hardens the four spec strings a scenario carries
+// (partition, defense pipeline, aggregator, attack kind). Each string goes
+// to all four parsers; every parser must either error with a nil value, or
+// return a value that runs on a tiny fixed input without panicking.
+// Partitions must also keep the Partitioner contract: disjoint, covering,
+// non-empty shards, and an attack's dishonest server must accept the
+// gradients of its own victim model. The committed corpus in
+// testdata/fuzz/FuzzSpecStrings holds the NaN/Inf parameters that once
+// slipped through and the registered attack kinds.
 func FuzzSpecStrings(f *testing.F) {
 	for _, spec := range []string{
 		"iid", "dirichlet:0.5", "quantity:1",
@@ -353,6 +355,37 @@ func FuzzSpecStrings(f *testing.F) {
 			}
 			if len(out) != 1 || out[0].Len() != 6 {
 				t.Fatalf("%q: aggregated %d tensors, want one of 6 values", spec, len(out))
+			}
+		}
+
+		rng := rand.New(rand.NewPCG(9, 10))
+		if atk, err := attack.New(spec, attack.Config{
+			Dims: attack.ImageDims{C: 1, H: 4, W: 4}, Classes: 4, Neurons: 16,
+			Probe: ds, ProbeSize: 32, Batch: 4, Rng: rng,
+		}); err != nil {
+			if atk != nil {
+				t.Fatalf("attack.New(%q) returned %#v alongside its error", spec, atk)
+			}
+		} else {
+			batch, err := data.RandomBatch(ds, rng, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := atk.Run(batch, batch.Images, rng); err != nil {
+				t.Fatalf("%q: Run: %v", spec, err)
+			}
+			srv, err := attack.NewAttackServer(atk, rng)
+			if err != nil {
+				t.Fatalf("%q: NewAttackServer: %v", spec, err)
+			}
+			victim, err := atk.BuildVictim(rng)
+			if err != nil {
+				t.Fatalf("%q: BuildVictim: %v", spec, err)
+			}
+			gw, gb, _ := victim.Gradients(batch)
+			srv.Observe(0, fl.Update{ClientID: "c", Grads: []*tensor.Tensor{gw, gb}})
+			if got := len(srv.Captures()); got != 1 {
+				t.Fatalf("%q: the dishonest server ignored its own victim's gradients (%d captures)", spec, got)
 			}
 		}
 	})
